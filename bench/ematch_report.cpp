@@ -4,18 +4,15 @@
 //     model seed e-graphs, naive recursive matcher vs compiled VM (the same
 //     workload as bench/micro_egraph.cpp BM_EMatchAllRules*). Gate: the VM
 //     must stay >= 2x the naive matcher.
-//  2. multi_join: every multi-pattern rule, Cartesian-product join of the
-//     per-source match sets vs the joint VM program that prunes incompatible
-//     combinations during the search. Gate: joint must not be slower overall.
+//  2. (retired: joint plan vs Cartesian-product join; the Cartesian join
+//     is now only a test oracle.)
 //  3. parallel: the full canonical-pattern sweep on 1 thread vs a small
 //     worker pool (ematch::search_all; identical results by construction).
-//  4. apply: full exploration runs; the staged pipeline with a stage-1
-//     worker pool vs the serial baseline (the same staged code at
-//     apply_threads = 1, the determinism anchor), with the legacy direct
-//     path (TensatOptions::staged_apply = false) reported for context.
-//     Compares accumulated ExploreStats::apply_seconds and records the
-//     per-phase breakdown. Gate: staged with the pool must not be slower
-//     than the serial staged baseline overall.
+//  4. apply: full exploration runs; the apply pipeline with a stage-1
+//     worker pool vs the serial baseline (the same code at
+//     apply_threads = 1, the determinism anchor). Compares accumulated
+//     ExploreStats::apply_seconds and records the per-phase breakdown.
+//     Gate: the pool must not be slower than the serial baseline overall.
 //  5. cycles: full exploration runs; incremental cycle analysis
 //     (TensatOptions::incremental_cycles, journal/epoch descendants map +
 //     scoped sweep) vs the fresh-rebuild baseline, comparing
@@ -33,13 +30,9 @@
 //     (every ematch::search emits a span) with a trace::Tracer installed vs
 //     disabled, min-of-N timing to resist CI noise. Gate: tracing-enabled
 //     overhead must stay <= 5%.
-//  8. pool: the persistent work-stealing pool (support/pool.h) vs the
-//     pre-pool thread-spawning dispatch, on a chunked explored-graph sweep
-//     (one fork-join per small pattern batch — the fine-grained shape the
-//     lowered kMinParallelSearchWork floor enables). Gate: pool dispatch
-//     must be >= 1.5x the spawning baseline. Also records the end-to-end
-//     exploration wall-time scaling curve at 1/2/4/8 threads (not gated:
-//     on a single-core runner the honest curve is flat) and the pool's
+//  8. pool: the end-to-end exploration wall-time scaling curve at 1/2/4/8
+//     threads (not gated: on a single-core runner the honest curve is
+//     flat) and the persistent work-stealing pool's (support/pool.h)
 //     lifetime job/invitation/steal totals.
 //  9. service: the optimization service (src/service) on a repeated +
 //     perturbed request mix (small BERT / NasRNN / SharedMM): cold (every
@@ -114,10 +107,9 @@ Throughput measure(const SearchAll& search_all, double min_seconds = 0.3) {
 }
 
 /// A multi-pattern stress graph: `groups` distinct inputs, each feeding
-/// `per_group` matmuls. Every matmul matches every multi-rule source, so the
-/// Cartesian product has (groups*per_group)^2 combinations per rule while
-/// only same-input (resp. same-weight) pairs are compatible — the blow-up
-/// case the joint plan exists for.
+/// `per_group` matmuls. Every matmul matches every multi-rule source, while
+/// only same-input (resp. same-weight) pairs are compatible — the apply-
+/// heavy blow-up shape.
 Graph make_shared_matmul_blowup(int groups, int per_group) {
   Graph g;
   for (int grp = 0; grp < groups; ++grp) {
@@ -131,7 +123,7 @@ Graph make_shared_matmul_blowup(int groups, int per_group) {
   return g;
 }
 
-/// One workload e-graph for the multi_join and parallel sections.
+/// One workload e-graph for the parallel and trace sections.
 struct Workload {
   std::string name;
   EGraph eg;
@@ -193,10 +185,10 @@ int main(int argc, char** argv) {
   }
   const double speedup = vm_seconds > 0.0 ? naive_seconds / vm_seconds : 0.0;
 
-  // ---- Workloads for the multi_join and parallel sections ------------------
+  // ---- Workloads for the parallel and trace sections ----------------------
   // Seed e-graphs are small; an explored e-graph (merged classes, more
   // e-nodes per class) plus a synthetic shared-operand graph cover the
-  // regimes where the Cartesian product actually blows up.
+  // regimes where a sweep has real work.
   std::vector<Workload> workloads;
   workloads.push_back({"BERT(2,32,128) seed", seed_egraph(models[0].graph)});
   workloads.push_back({"SharedMM(8x12) seed", seed_egraph(make_shared_matmul_blowup(8, 12))});
@@ -209,81 +201,6 @@ int main(int argc, char** argv) {
     run_exploration(eg, rules, opt);
     workloads.push_back({"BERT(2,32,128) explored", std::move(eg)});
   }
-
-  // ---- Section 2: Cartesian-product join vs joint plan ---------------------
-  struct JoinRow {
-    std::string name;
-    size_t eclasses;
-    size_t combos_tried;  // tuples the Cartesian join examines per sweep
-    Throughput cartesian;
-    Throughput joint;
-  };
-  std::vector<JoinRow> join_rows;
-
-  std::printf("\n%-24s %10s %12s | %12s %12s | %8s\n", "multi-pattern join",
-              "combos", "cart m/s", "joint m/s", "matches", "speedup");
-  for (Workload& w : workloads) {
-    const EGraph& eg = w.eg;
-    JoinRow row;
-    row.name = w.name;
-    row.eclasses = eg.num_classes();
-    row.combos_tried = 0;
-    // Cartesian baseline, exactly as the exploration loop used to do it:
-    // search each canonical source pattern once (shared across rules), then
-    // per rule decanonicalize the per-source lists and join them.
-    row.cartesian = measure([&] {
-      std::vector<std::vector<PatternMatch>> matches(plan.patterns.size());
-      std::vector<bool> searched(plan.patterns.size(), false);
-      size_t total = 0;
-      row.combos_tried = 0;
-      for (size_t r = 0; r < rules.size(); ++r) {
-        if (!rules[r].is_multi()) continue;
-        std::vector<std::vector<PatternMatch>> per_source;
-        for (const SourceBinding& sb : plan.rule_sources[r]) {
-          if (!searched[sb.pattern_index]) {
-            matches[sb.pattern_index] =
-                ematch::search(eg, plan.patterns[sb.pattern_index].program);
-            searched[sb.pattern_index] = true;
-          }
-          std::vector<PatternMatch> list;
-          list.reserve(matches[sb.pattern_index].size());
-          for (const PatternMatch& m : matches[sb.pattern_index])
-            list.push_back(PatternMatch{m.root, decanonicalize(m.subst, sb.rename)});
-          per_source.push_back(std::move(list));
-        }
-        size_t combos = 0;
-        total += cartesian_join(per_source, 0, &combos).size();
-        row.combos_tried += combos;
-      }
-      return total;
-    });
-    row.joint = measure([&] {
-      size_t total = 0;
-      for (size_t r = 0; r < rules.size(); ++r)
-        if (rules[r].is_multi())
-          total += ematch::search_joint(eg, plan.joint_programs[r]).size();
-      return total;
-    });
-    std::printf("%-24s %10zu %12.0f | %12.0f %12zu | %7.2fx\n", row.name.c_str(),
-                row.combos_tried, row.cartesian.matches_per_sec(),
-                row.joint.matches_per_sec(), row.joint.matches,
-                row.cartesian.seconds / row.joint.seconds);
-    if (row.cartesian.matches != row.joint.matches) {
-      std::fprintf(stderr,
-                   "joint/cartesian match-count mismatch on %s: %zu vs %zu\n",
-                   row.name.c_str(), row.joint.matches, row.cartesian.matches);
-      return 3;
-    }
-    join_rows.push_back(std::move(row));
-  }
-
-  double cart_seconds = 0.0, joint_seconds = 0.0;
-  for (const JoinRow& r : join_rows) {
-    cart_seconds += r.cartesian.seconds;
-    joint_seconds += r.joint.seconds;
-  }
-  const double join_speedup =
-      joint_seconds > 0.0 ? cart_seconds / joint_seconds : 0.0;
 
   // ---- Section 3: serial vs parallel canonical-pattern sweep ---------------
   // At least 2 so the worker-pool path is really measured, even on one core
@@ -325,16 +242,14 @@ int main(int argc, char** argv) {
     par_rows.push_back(std::move(row));
   }
 
-  // ---- Section 4: serial staged apply vs pooled staged apply ---------------
+  // ---- Section 4: serial apply vs pooled apply -----------------------------
   // Full exploration runs from a fresh seed each repetition; only the apply
   // phase (ExploreStats::apply_seconds) is compared — search, rebuild, and
   // extraction are identical work on both sides. The baseline is the SAME
-  // staged code at apply_threads = 1 (the determinism anchor: any thread
-  // count produces a bit-identical e-graph, so this is purely a throughput
-  // comparison). The legacy direct path is reported for context: it does
-  // less total node work (it reuses the live hash-cons mid-iteration, which
-  // snapshot planning cannot), the deficit the stage-1 pool repays.
-  // SharedMM is the apply-heavy blow-up shape; BERT the model workload.
+  // code at apply_threads = 1 (the determinism anchor: any thread count
+  // produces a bit-identical e-graph, so this is purely a throughput
+  // comparison). SharedMM is the apply-heavy blow-up shape; BERT the model
+  // workload.
   struct ApplyStats {
     double apply_seconds{0.0};
     double search_seconds{0.0};
@@ -343,19 +258,17 @@ int main(int argc, char** argv) {
   };
   struct ApplyRow {
     std::string name;
-    ApplyStats serial;   // staged, apply_threads = 1
-    ApplyStats pooled;   // staged, apply_threads = apply_pool
-    ApplyStats legacy;   // direct path (staged_apply = false), context only
+    ApplyStats serial;  // apply_threads = 1
+    ApplyStats pooled;  // apply_threads = apply_pool
   };
   std::vector<ApplyRow> apply_rows;
 
-  const auto measure_apply = [&rules](const Graph& g, bool staged, size_t threads,
+  const auto measure_apply = [&rules](const Graph& g, size_t threads,
                                       double min_seconds = 0.5) {
     TensatOptions opt;
     opt.k_max = 3;
     opt.k_multi = 1;
     opt.node_limit = 6000;
-    opt.staged_apply = staged;
     opt.apply_threads = threads;
     ApplyStats acc;
     size_t reps = 0;
@@ -388,20 +301,17 @@ int main(int argc, char** argv) {
   // the comparison degenerates to 1x by construction.
   const size_t apply_pool = std::min<size_t>(4, resolve_threads(0));
 
-  std::printf("\n%-24s %12s %12s %12s | %12s | %8s   (%zu threads)\n",
-              "apply phase", "staged-1t s", "staged-Nt s", "legacy s",
-              "applications", "speedup", apply_pool);
+  std::printf("\n%-24s %12s %12s | %12s | %8s   (%zu threads)\n",
+              "apply phase", "1-thread s", "N-thread s", "applications",
+              "speedup", apply_pool);
   for (const ApplyWorkload& w : apply_workloads) {
     ApplyRow row;
     row.name = w.name;
-    row.serial = measure_apply(w.graph, /*staged=*/true, /*threads=*/1);
-    row.pooled = apply_pool > 1
-                     ? measure_apply(w.graph, /*staged=*/true, apply_pool)
-                     : row.serial;
-    row.legacy = measure_apply(w.graph, /*staged=*/false, /*threads=*/1);
-    std::printf("%-24s %12.4f %12.4f %12.4f | %12zu | %7.2fx\n", row.name.c_str(),
+    row.serial = measure_apply(w.graph, /*threads=*/1);
+    row.pooled = apply_pool > 1 ? measure_apply(w.graph, apply_pool) : row.serial;
+    std::printf("%-24s %12.4f %12.4f | %12zu | %7.2fx\n", row.name.c_str(),
                 row.serial.apply_seconds, row.pooled.apply_seconds,
-                row.legacy.apply_seconds, row.pooled.applications,
+                row.pooled.applications,
                 row.serial.apply_seconds / row.pooled.apply_seconds);
     apply_rows.push_back(std::move(row));
   }
@@ -762,67 +672,11 @@ int main(int argc, char** argv) {
               "BERT(2,32,128) explored", trace_disabled_s, trace_enabled_s,
               trace_overhead, trace_events);
 
-  // ---- Section 8: persistent pool vs spawning dispatch + thread scaling ----
-  // (a) Dispatch comparison, gated: a chunked canonical-pattern sweep over
-  // the explored-BERT e-graph — one fork-join per small pattern batch, the
-  // fine-grained shape the lowered kMinParallelSearchWork floor exists for.
-  // Identical work both sides; the only difference is how each fork-join is
-  // dispatched (pool parallel_for vs spawning_parallel_for, the pre-pool
-  // implementation kept as the baseline/oracle). Full sweeps bury the
-  // dispatch cost under ~1ms of search work; the chunked shape is where a
-  // per-dispatch thread spawn actually hurts, and where the pool must win.
-  // Min-of-N rep timing, as in section 7, to resist CI noise.
-  constexpr size_t kPoolDispatchThreads = 4;
-  constexpr size_t kPoolDispatchChunk = 4;
-  double pool_dispatch_s = 0.0, spawn_dispatch_s = 0.0;
-  size_t pool_dispatches_per_sweep = 0;
-  {
-    const EGraph& eg = workloads.back().eg;  // "BERT(2,32,128) explored"
-    pool_dispatches_per_sweep =
-        (progs.size() + kPoolDispatchChunk - 1) / kPoolDispatchChunk;
-    const auto sweep = [&](bool spawning) {
-      std::vector<std::vector<PatternMatch>> results(progs.size());
-      for (size_t c = 0; c < pool_dispatches_per_sweep; ++c) {
-        const size_t b = c * kPoolDispatchChunk;
-        const size_t e = std::min(b + kPoolDispatchChunk, progs.size());
-        const auto body = [&](size_t i) {
-          results[b + i] = ematch::search(eg, *progs[b + i]);
-        };
-        if (spawning)
-          spawning_parallel_for(e - b, kPoolDispatchThreads, body);
-        else
-          parallel_for(e - b, kPoolDispatchThreads, body);
-      }
-      size_t total = 0;
-      for (const auto& found : results) total += found.size();
-      return total;
-    };
-    constexpr size_t kReps = 7;
-    constexpr size_t kSweepsPerRep = 20;
-    const auto min_of_reps = [&](bool spawning) {
-      double best = std::numeric_limits<double>::infinity();
-      for (size_t rep = 0; rep < kReps; ++rep) {
-        Timer t;
-        for (size_t s = 0; s < kSweepsPerRep; ++s) sweep(spawning);
-        best = std::min(best, t.seconds() / kSweepsPerRep);
-      }
-      return best;
-    };
-    pool_dispatch_s = min_of_reps(false);
-    spawn_dispatch_s = min_of_reps(true);
-  }
-  const double pool_dispatch_speedup =
-      pool_dispatch_s > 0.0 ? spawn_dispatch_s / pool_dispatch_s : 0.0;
-  std::printf("\n%-24s %14s | %14s | %8s   (%zu thr, %zu-pattern chunks)\n",
-              "pool dispatch", "pool s/swp", "spawning s/swp", "speedup",
-              kPoolDispatchThreads, kPoolDispatchChunk);
-  std::printf("%-24s %14.6f | %14.6f | %7.2fx\n", "BERT(2,32,128) explored",
-              pool_dispatch_s, spawn_dispatch_s, pool_dispatch_speedup);
-
-  // (b) End-to-end wall-time scaling curve, recorded (not gated — on a
-  // single-core runner the honest curve is flat): one full exploration per
-  // thread count with both knobs set, identical e-graphs by the determinism
-  // contract, so applications double-checks that only wall time moved.
+  // ---- Section 8: end-to-end thread scaling + pool totals ------------------
+  // Recorded, not gated — on a single-core runner the honest curve is flat:
+  // one full exploration per thread count with both knobs set, identical
+  // e-graphs by the determinism contract, so applications double-checks
+  // that only wall time moved.
   struct ScalePoint {
     size_t threads;
     double seconds;
@@ -847,7 +701,7 @@ int main(int argc, char** argv) {
     }
     scaling.push_back(ScalePoint{threads, best, applications});
   }
-  std::printf("%-24s", "e2e scaling (threads:s)");
+  std::printf("\n%-24s", "e2e scaling (threads:s)");
   for (const ScalePoint& p : scaling)
     std::printf("  %zu:%.3f", p.threads, p.seconds);
   const WorkStealingPool::Stats pool_stats = WorkStealingPool::global().stats();
@@ -1049,7 +903,7 @@ int main(int argc, char** argv) {
   std::fprintf(f, "{\n");
   // Provenance: enough to tell which commit, build flavor, and machine class
   // produced the numbers when two BENCH_ematch.json artifacts disagree.
-  std::fprintf(f, "  \"schema_version\": 6,\n");
+  std::fprintf(f, "  \"schema_version\": 7,\n");
   std::fprintf(f, "  \"git_sha\": \"%s\",\n", build_git_sha());
   std::fprintf(f, "  \"build_type\": \"%s\",\n", build_type());
   std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
@@ -1074,26 +928,6 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"overall_speedup_vm_over_naive\": %.2f,\n", speedup);
-  std::fprintf(f, "  \"multi_join\": {\n");
-  std::fprintf(f, "    \"workload\": \"all multi-pattern rules of default_rules(): "
-                  "Cartesian-product join of per-source VM match sets vs joint VM "
-                  "program (src/ematch joint plan)\",\n");
-  std::fprintf(f, "    \"rows\": [\n");
-  for (size_t i = 0; i < join_rows.size(); ++i) {
-    const JoinRow& r = join_rows[i];
-    std::fprintf(f,
-                 "      {\"name\": \"%s\", \"eclasses\": %zu, "
-                 "\"combined_matches\": %zu, \"cartesian_combos_tried\": %zu,\n"
-                 "       \"cartesian\": {\"seconds_per_sweep\": %.6f}, "
-                 "\"joint\": {\"seconds_per_sweep\": %.6f}, \"speedup\": %.2f}%s\n",
-                 r.name.c_str(), r.eclasses, r.joint.matches, r.combos_tried,
-                 r.cartesian.seconds, r.joint.seconds,
-                 r.cartesian.seconds / r.joint.seconds,
-                 i + 1 < join_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "    ],\n");
-  std::fprintf(f, "    \"overall_speedup_joint_over_cartesian\": %.2f\n", join_speedup);
-  std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"parallel\": {\n");
   std::fprintf(f, "    \"workload\": \"full canonical-pattern sweep via "
                   "ematch::search_all, 1 thread vs pool (identical results by "
@@ -1113,10 +947,10 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"apply\": {\n");
   std::fprintf(f, "    \"workload\": \"full exploration runs (k_max=3, k_multi=1, "
-                  "node_limit=6000): staged plan/commit apply pipeline, "
+                  "node_limit=6000): plan/commit apply pipeline, "
                   "apply_threads=1 (serial baseline, the determinism anchor) vs a "
-                  "stage-1 worker pool, plus the legacy direct path for context; "
-                  "seconds are ExploreStats per-phase timings\",\n");
+                  "stage-1 worker pool; seconds are ExploreStats per-phase "
+                  "timings\",\n");
   std::fprintf(f, "    \"threads\": %zu,\n", apply_pool);
   std::fprintf(f, "    \"rows\": [\n");
   for (size_t i = 0; i < apply_rows.size(); ++i) {
@@ -1127,12 +961,11 @@ int main(int argc, char** argv) {
                  "\"search_seconds\": %.6f, \"rebuild_seconds\": %.6f},\n"
                  "       \"staged_pool\": {\"apply_seconds\": %.6f, "
                  "\"search_seconds\": %.6f, \"rebuild_seconds\": %.6f},\n"
-                 "       \"legacy_direct\": {\"apply_seconds\": %.6f},\n"
                  "       \"speedup\": %.2f}%s\n",
                  r.name.c_str(), r.pooled.applications, r.serial.apply_seconds,
                  r.serial.search_seconds, r.serial.rebuild_seconds,
                  r.pooled.apply_seconds, r.pooled.search_seconds,
-                 r.pooled.rebuild_seconds, r.legacy.apply_seconds,
+                 r.pooled.rebuild_seconds,
                  r.serial.apply_seconds / r.pooled.apply_seconds,
                  i + 1 < apply_rows.size() ? "," : "");
   }
@@ -1247,23 +1080,6 @@ int main(int argc, char** argv) {
                trace_overhead);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"pool\": {\n");
-  std::fprintf(f, "    \"workload\": \"chunked canonical-pattern sweep on the "
-                  "explored-BERT e-graph — one fork-join per %zu-pattern batch "
-                  "at %zu participants — dispatched via the persistent "
-                  "work-stealing pool (support/pool.h parallel_for) vs the "
-                  "pre-pool thread-spawning baseline (spawning_parallel_for); "
-                  "min of 7 reps, 20 sweeps per rep; identical matches both "
-                  "sides\",\n",
-               kPoolDispatchChunk, kPoolDispatchThreads);
-  std::fprintf(f, "    \"dispatch\": {\"threads\": %zu, \"chunk\": %zu, "
-                  "\"dispatches_per_sweep\": %zu,\n",
-               kPoolDispatchThreads, kPoolDispatchChunk,
-               pool_dispatches_per_sweep);
-  std::fprintf(f, "      \"pool\": {\"seconds_per_sweep\": %.6f}, "
-                  "\"spawning\": {\"seconds_per_sweep\": %.6f},\n",
-               pool_dispatch_s, spawn_dispatch_s);
-  std::fprintf(f, "      \"speedup_pool_over_spawning\": %.2f},\n",
-               pool_dispatch_speedup);
   std::fprintf(f, "    \"scaling\": [\n");
   for (size_t i = 0; i < scaling.size(); ++i) {
     const ScalePoint& p = scaling[i];
@@ -1330,28 +1146,25 @@ int main(int argc, char** argv) {
   std::fprintf(f, "}\n");
   std::fclose(f);
 
-  std::printf("\noverall speedup (vm over naive): %.2fx, (joint over cartesian): "
-              "%.2fx, (pooled over serial apply): %.2fx, (incremental over fresh "
-              "cycles): %.2fx, (engine over monolithic extract): %.2fx, "
-              "(engine solved a too-large instance): %s, (BERT gap): %s, "
-              "(sparse over dense LP): %.2fx, (tracing overhead): "
-              "%.3fx, (pool over spawning dispatch): %.2fx, (cached service "
-              "over cold): %.1fx, (service hits bit-identical): %s, "
-              "(metrics overhead): %.3fx -> %s\n",
-              speedup, join_speedup, apply_speedup, cycle_speedup, extract_speedup,
+  std::printf("\noverall speedup (vm over naive): %.2fx, (pooled over serial "
+              "apply): %.2fx, (incremental over fresh cycles): %.2fx, (engine "
+              "over monolithic extract): %.2fx, (engine solved a too-large "
+              "instance): %s, (BERT gap): %s, (sparse over dense LP): %.2fx, "
+              "(tracing overhead): %.3fx, (cached service over cold): %.1fx, "
+              "(service hits bit-identical): %s, (metrics overhead): %.3fx -> "
+              "%s\n",
+              speedup, apply_speedup, cycle_speedup, extract_speedup,
               solved_too_large ? "yes" : "NO",
               bert_gap_ok ? "<= 1%" : "MISSED", lp_micro_speedup,
-              trace_overhead, pool_dispatch_speedup, service_speedup,
+              trace_overhead, service_speedup,
               service_bit_identical ? "yes" : "NO", metrics_overhead,
               out_path.c_str());
   if (speedup < 2.0) return 2;        // gate: VM must be >= 2x naive
-  if (join_speedup < 1.0) return 4;   // gate: joint join must not lose overall
   if (apply_speedup < 1.0) return 5;  // gate: pooled apply must not lose overall
   if (cycle_speedup < 1.0) return 6;  // gate: incremental cycles must not lose
   if (extract_speedup < 1.0) return 8;  // gate: engine extraction must not lose
   if (!solved_too_large) return 9;    // gate: engine must lift the size cap
   if (trace_overhead > 1.05) return 11;  // gate: tracing-enabled overhead <= 5%
-  if (pool_dispatch_speedup < 1.5) return 12;  // gate: pool >= 1.5x spawning
   if (!bert_gap_ok) return 13;  // gate: BERT extraction certified within 1%
   if (lp_micro_speedup < 2.0) return 14;  // gate: sparse LP >= 2x dense
   if (service_speedup < 5.0) return 15;  // gate: cached service >= 5x cold

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "support/check.h"
-#include "support/parallel.h"
 
 namespace tensat {
 
@@ -150,64 +149,6 @@ void EGraph::rebuild() {
   for (const auto& sh : hashcons_) total += sh.size();
   TENSAT_CHECK(total == num_enodes_total_, "hash-cons size counter drifted");
 #endif
-}
-
-Id EGraph::commit_prepared(const std::vector<PreparedNode>& nodes,
-                           size_t threads) {
-  TENSAT_CHECK(pending_.empty(), "commit_prepared: e-graph must be clean");
-  const Id base = static_cast<Id>(uf_.size());
-  const size_t k = nodes.size();
-  if (k == 0) return base;
-
-  // Serial prologue: everything whose *order* is observable. Ids and class
-  // slots (dense, ascending), stamps (ascending batch order), the journal,
-  // and the version/size counters — identical for any thread count.
-  for (size_t i = 0; i < k; ++i) {
-    const Id id = uf_.make_set();
-    TENSAT_CHECK(id == static_cast<Id>(classes_.size()), "class id mismatch");
-    classes_.emplace_back();
-    if (journal_ != nullptr) journal_->new_classes.push_back(id);
-  }
-  const uint32_t stamp_base = next_stamp_;
-  next_stamp_ += static_cast<uint32_t>(k);
-  num_enodes_total_ += k;
-  version_ += k;
-
-  // The fills: class bodies (partitioned by batch index), hash-cons and
-  // op-index appends (partitioned by op symbol — each shard map is touched
-  // by exactly one worker), parent-list appends (partitioned by child
-  // class). Every container receives its entries in ascending batch order
-  // no matter how shards map to workers, so the partition count below is a
-  // pure throughput knob, not a semantics knob.
-  constexpr size_t kShards = 16;
-  auto fill_shard = [&](size_t s) {
-    for (size_t i = 0; i < k; ++i) {
-      const PreparedNode& p = nodes[i];
-      const Id id = base + static_cast<Id>(i);
-      if (i % kShards == s) {
-        EClass& cls = classes_[id];
-        cls.data = *p.data;
-        cls.nodes.push_back(
-            EClassNode{p.node, stamp_base + static_cast<uint32_t>(i), false});
-      }
-      if (static_cast<size_t>(p.node.op) % kShards == s) {
-        op_index_[static_cast<size_t>(p.node.op)].push_back(id);
-        shard(p.node).emplace(p.node, id);
-      }
-      for (const Id c : p.node.children) {
-        if (static_cast<size_t>(c) % kShards == s) {
-          classes_[c].parents.emplace_back(p.node, id);
-        }
-      }
-    }
-  };
-  // Below ~2 items per shard the scan overhead dominates; run serially.
-  if (threads <= 1 || k < 2 * kShards) {
-    for (size_t s = 0; s < kShards; ++s) fill_shard(s);
-  } else {
-    parallel_for(kShards, threads, fill_shard);
-  }
-  return base;
 }
 
 void EGraph::repair(Id id) {

@@ -143,33 +143,8 @@ class EGraph {
   /// Number of e-nodes, excluding filtered ones.
   [[nodiscard]] size_t num_enodes() const;
   /// Number of e-nodes including filtered ones (the paper's e-graph size).
-  /// A maintained counter (the hash-cons is sharded by op symbol).
+  /// A maintained counter (the hash-cons is split into one map per op).
   [[nodiscard]] size_t num_enodes_total() const { return num_enodes_total_; }
-
-  /// One node of a sharded batch commit (see commit_prepared): the e-node
-  /// in final-id form plus a pointer to its plan-time analysis data (owned
-  /// by the caller, alive until commit_prepared returns).
-  struct PreparedNode {
-    TNode node;
-    const ValueInfo* data;
-  };
-
-  /// Batch-inserts `nodes` as brand-new e-classes with pre-assigned dense
-  /// ids base .. base+k-1, where base == num_ids() at call time; node i's
-  /// children may reference canonical existing classes or earlier batch
-  /// nodes by final id (base + j, j < i). The caller guarantees the e-graph
-  /// is clean (rebuilt, no pending merges), every node is absent from the
-  /// hash-cons, children are canonical, and the batch has no duplicates —
-  /// exactly what the optimizer's sharded-commit resolve pass establishes.
-  ///
-  /// All ordered artifacts (ids, stamps, journal entries, version) are
-  /// assigned serially up front; only the hash-cons / op-index / parent /
-  /// class-body fills run on the pool, partitioned over a fixed shard count
-  /// by op symbol (hash-cons, op-index) and child class (parents). Every
-  /// per-container append happens in ascending batch order regardless of
-  /// the partition, so the resulting e-graph is bit-identical for any
-  /// `threads` value, including 1. Returns base.
-  Id commit_prepared(const std::vector<PreparedNode>& nodes, size_t threads);
 
   /// Marks an e-node of `class_id` as filtered (adds it to the filter list).
   /// `index` addresses eclass(class_id).nodes.
@@ -207,8 +182,7 @@ class EGraph {
   /// known absent from the hash-cons) carrying `data`. The shared tail of
   /// try_add / try_add_planned.
   Id insert_new_class(TNode node, ValueInfo data);
-  /// The hash-cons shard holding `node` (sharded by op symbol so disjoint
-  /// regions of a batch commit can fill concurrently).
+  /// The hash-cons map holding `node`: the one for its op symbol.
   std::unordered_map<TNode, Id, TNodeHash>& shard(const TNode& node) {
     return hashcons_[static_cast<size_t>(node.op)];
   }
@@ -231,9 +205,10 @@ class EGraph {
   mutable std::vector<OpCacheEntry> op_cache_;
   // Deque: eclass()/data() references must survive later try_add() appends.
   std::deque<EClass> classes_;
-  // Hash-cons, sharded by op symbol (one map per op). Serial code treats the
-  // shards as one logical map through shard(); commit_prepared fills
-  // disjoint shards concurrently. num_enodes_total_ tracks the summed size.
+  // Hash-cons, split into one map per op symbol. Canonicalization never
+  // changes a node's op, so a node's map never changes; callers treat the
+  // maps as one logical map through shard(). num_enodes_total_ tracks the
+  // summed size.
   std::vector<std::unordered_map<TNode, Id, TNodeHash>> hashcons_{
       static_cast<size_t>(Op::kOpCount)};
   size_t num_enodes_total_{0};
@@ -289,27 +264,13 @@ class NodeBuffer {
   /// canonical + unchanged data_epoch; staged children: landed class data
   /// equals the planned data), the planned ValueInfo is handed to
   /// try_add_planned and the commit-time re-infer is skipped — infer() is
-  /// deterministic, so the result is exactly the legacy one. Any drift
-  /// falls back to the full try_add re-infer path, shape failures included.
+  /// deterministic, so the result is exactly what the re-infer would
+  /// produce. Any drift falls back to the full try_add re-infer path, shape
+  /// failures included.
   std::optional<Id> commit(EGraph& eg, Id id);
 
   /// The snapshot this buffer stages against.
   [[nodiscard]] const EGraph& egraph() const { return *eg_; }
-
-  /// Batch-resolve support (the optimizer's sharded commit reads staged
-  /// entries directly instead of replaying them through commit()): the
-  /// staged entry behind `id`, children still in mixed real/staged form,
-  /// and its planned analysis data. `staged_index` maps a staged id to its
-  /// dense entry index in [0, size()).
-  [[nodiscard]] const TNode& staged_node(Id id) const {
-    return entries_[index_of(id)].node;
-  }
-  [[nodiscard]] const ValueInfo& staged_data(Id id) const {
-    return entries_[index_of(id)].data;
-  }
-  [[nodiscard]] static constexpr size_t staged_index(Id id) {
-    return index_of(id);
-  }
 
  private:
   struct Entry {

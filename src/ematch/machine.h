@@ -73,9 +73,7 @@ size_t search_work_estimate(const EGraph& eg,
 /// seed-sized graphs before the gate existed). The persistent
 /// work-stealing pool (support/pool.h) cut the dispatch cost from tens of
 /// microseconds per worker to about a microsecond total, so the
-/// break-even moved down an order of magnitude; BENCH_ematch.json's
-/// "pool" section tracks the pool-vs-spawning ratio that justifies the
-/// lower floor.
+/// break-even moved down an order of magnitude.
 constexpr size_t kMinParallelSearchWork = 256;
 
 /// Searches many programs against one read-only e-graph using up to `threads`

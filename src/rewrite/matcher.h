@@ -60,8 +60,9 @@ std::vector<Subst> match_class_naive(const EGraph& eg, const Graph& pat,
 /// Returns the resulting e-class, or nullopt if any new node fails the shape
 /// check (the paper's shape-checking gate on rewrites).
 ///
-/// This is the legacy direct path: it mutates the e-graph node by node. The
-/// staged apply pipeline uses the plan/commit split below instead; the two
+/// It mutates the e-graph node by node, so a failing node leaves the nodes
+/// added before it in place. The exploration loop uses the all-or-nothing
+/// plan/commit split below instead; for a target that passes, the two
 /// produce identical e-graphs (tests/apply_pipeline_test.cpp).
 std::optional<Id> instantiate(EGraph& eg, const Graph& pat, Id root, const Subst& subst);
 
@@ -70,8 +71,8 @@ std::optional<Id> instantiate(EGraph& eg, const Graph& pat, Id root, const Subst
 /// mutating the e-graph. Returns the target id — a real e-class id when the
 /// whole target already exists, otherwise a staged id (NodeBuffer::is_staged)
 /// — or nullopt on shape-check failure. Committing the returned id
-/// (NodeBuffer::commit) yields exactly what the direct instantiate() would
-/// have produced.
+/// (NodeBuffer::commit) yields exactly what instantiate() would have
+/// produced.
 std::optional<Id> plan_instantiate(NodeBuffer& buf, const Graph& pat, Id root,
                                    const Subst& subst);
 

@@ -74,37 +74,4 @@ Subst decanonicalize(const Subst& subst,
   return out;
 }
 
-std::vector<ematch::JointMatch> cartesian_join(
-    const std::vector<std::vector<PatternMatch>>& per_source, size_t max_results,
-    size_t* combos_tried) {
-  std::vector<ematch::JointMatch> out;
-  if (combos_tried) *combos_tried = 0;
-  for (const std::vector<PatternMatch>& list : per_source)
-    if (list.empty()) return out;
-
-  std::vector<size_t> idx(per_source.size(), 0);
-  for (;;) {
-    if (combos_tried) ++*combos_tried;
-    ematch::JointMatch jm;
-    std::optional<Subst> combined = Subst{};
-    for (size_t k = 0; k < per_source.size() && combined; ++k) {
-      const PatternMatch& m = per_source[k][idx[k]];
-      jm.roots.push_back(m.root);
-      combined = Subst::merged(*combined, m.subst);
-    }
-    if (combined.has_value()) {
-      jm.subst = std::move(*combined);
-      out.push_back(std::move(jm));
-      if (max_results != 0 && out.size() >= max_results) return out;
-    }
-    size_t k = 0;
-    while (k < idx.size()) {
-      if (++idx[k] < per_source[k].size()) break;
-      idx[k] = 0;
-      ++k;
-    }
-    if (k == idx.size()) return out;
-  }
-}
-
 }  // namespace tensat

@@ -4,25 +4,18 @@
 // multi-pattern rule by renaming its variables in traversal order; patterns
 // that differ only by variable names collapse to one canonical pattern. Each
 // exploration iteration then runs the single-pattern search once per
-// canonical pattern. For a multi-pattern rule the per-source match sets are
-// combined into full-rule matches in one of two equivalent ways:
-//
-//  - the joint plan (default): the rule's sources compile into a single VM
-//    program (ematch::compile_joint_pattern) that binds shared variables
-//    once and prunes incompatible cross-pattern candidates during the
-//    search, skipping the canonical-pattern search for multi-only patterns
-//    entirely;
-//  - the Cartesian-product join (cartesian_join below, paper Algorithm 1
-//    lines 16-20): combine the de-canonicalized matches of the rule's
-//    source patterns post hoc, keeping combinations that agree on shared
-//    variables. Kept as the differential baseline the joint plan is tested
-//    and benchmarked against (TensatOptions::joint_multi = false).
+// canonical pattern. A multi-pattern rule instead finds its full-rule
+// matches with a joint plan: the rule's sources compile into a single VM
+// program (ematch::compile_joint_pattern) that binds shared variables once
+// and prunes incompatible cross-pattern candidates during the search. It
+// enumerates exactly the compatible tuples of paper Algorithm 1's
+// Cartesian-product join (lines 16-20); tests/joint_ematch_test.cpp checks
+// that against the naive matcher.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "ematch/machine.h"
 #include "ematch/program.h"
 #include "rewrite/matcher.h"
 #include "rewrite/rewrite.h"
@@ -73,16 +66,5 @@ MultiPlan build_multi_plan(const std::vector<Rewrite>& rules);
 /// variable names.
 Subst decanonicalize(const Subst& subst,
                      const std::vector<std::pair<Symbol, Symbol>>& rename);
-
-/// The Cartesian-product join baseline: every combination of one match per
-/// source list whose substitutions agree on the variables they share, as
-/// (roots, merged substitution) tuples. Enumeration order matches the
-/// historical exploration loop (source 0 varies fastest). `max_results` 0 =
-/// unlimited; `combos_tried`, when given, receives the number of tuples
-/// examined including incompatible ones — the joint plan's saving is exactly
-/// the gap between this and the result size.
-std::vector<ematch::JointMatch> cartesian_join(
-    const std::vector<std::vector<PatternMatch>>& per_source,
-    size_t max_results = 0, size_t* combos_tried = nullptr);
 
 }  // namespace tensat

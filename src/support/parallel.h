@@ -7,21 +7,14 @@
 //
 // parallel_for used to spawn fresh std::threads per call; dispatch cost
 // (tens of microseconds per thread) exceeded many whole sub-millisecond
-// regions, which is why BENCH_ematch.json's parallel rows sat at ~1x. The
-// pool-backed version dispatches in ~1 allocation + a condvar wake. The old
-// spawning implementation survives as spawning_parallel_for: it is the
-// baseline bench_ematch_report section 8 gates the pool against (>= 1.5x),
-// and a semantics oracle for tests/parallel_pool_test.cpp.
+// regions. The pool-backed version dispatches in ~1 allocation + a condvar
+// wake.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <type_traits>
-#include <vector>
 
 #include "support/pool.h"
 
@@ -55,45 +48,6 @@ void parallel_for(size_t n, size_t threads, Fn&& fn) {
   WorkStealingPool::global().for_each(
       n, threads, [](void* ctx, size_t i) { (*static_cast<F*>(ctx))(i); },
       const_cast<void*>(static_cast<const void*>(std::addressof(fn))));
-}
-
-/// The pre-pool implementation: spawns `threads - 1` fresh std::threads per
-/// call and joins them before returning. Kept as the measured baseline for
-/// bench_ematch_report's pool section and as a differential oracle in the
-/// pool tests — not for production call sites (dispatch costs tens of
-/// microseconds per thread per call). Note its failure path keeps the old
-/// semantics the pool fixed: after an exception, remaining unclaimed items
-/// are skipped without being accounted (the exception is still rethrown).
-template <typename Fn>
-void spawning_parallel_for(size_t n, size_t threads, Fn&& fn) {
-  threads = std::min(resolve_threads(threads), n);
-  if (threads <= 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::atomic<size_t> next{0};
-  std::atomic<bool> failed{false};
-  std::exception_ptr error;
-  std::mutex error_mu;
-  auto worker = [&] {
-    for (;;) {
-      const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n || failed.load(std::memory_order_relaxed)) return;
-      try {
-        fn(i);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mu);
-        if (!error) error = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(threads - 1);
-  for (size_t t = 1; t < threads; ++t) pool.emplace_back(worker);
-  worker();
-  for (std::thread& th : pool) th.join();
-  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace tensat

@@ -1,21 +1,15 @@
-// The staged apply pipeline (optimizer/optimizer.cpp): stage 1 plans every
-// pending application read-only against the clean e-graph, stage 2 commits
-// staged nodes and merges in plan order — either serially one application
-// at a time (sharded_commit = false) or via the batch path (serial resolve,
-// parallel sharded insert, serial merge) — and stage 3 is the single
-// rebuild. These tests pin its two contracts:
+// The apply pipeline (optimizer/optimizer.cpp): stage 1 plans every pending
+// application read-only against the clean e-graph, stage 2 commits staged
+// nodes and merges serially, one application at a time in plan order, and
+// stage 3 is the single rebuild. These tests pin its two contracts:
 //
 //  * determinism: the explored e-graph is bit-identical (same class ids,
 //    same e-node sets, same filtered flags, same extracted graph) for any
 //    apply_threads value, because stage 2's serial plan-order commit is the
 //    only place mutation happens;
 //  * parity: the plan/commit split of instantiate (plan_instantiate +
-//    NodeBuffer::commit) produces exactly the e-graph the legacy direct
-//    instantiate() does, and the staged pipeline as a whole matches the
-//    legacy direct apply path (TensatOptions::staged_apply = false)
-//    semantically — same applications, merges, filtered nodes, and
-//    extraction; the only divergence is that failed instantiations leave no
-//    partial nodes behind under the all-or-nothing commit.
+//    NodeBuffer::commit) produces exactly the e-graph instantiate() does,
+//    except that a failed instantiation leaves no partial nodes behind.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -79,20 +73,19 @@ TensatOptions explore_options() {
 // ---- Determinism across apply_threads --------------------------------------
 
 TEST(ApplyPipeline, FingerprintIdenticalForAnyThreadCount) {
-  // Both commit modes must be bit-identical across thread counts: the
-  // sharded batch commit's only scheduling-dependent stage is the
-  // commit_prepared parallel fill, whose every container receives entries
-  // in ascending batch order regardless of which worker fills which shard.
-  for (bool sharded : {true, false}) {
+  // Vanilla filtering checks each merge against the live e-graph during the
+  // serial commit, so it must be just as independent of stage-1 threading.
+  for (CycleFilterMode mode :
+       {CycleFilterMode::kEfficient, CycleFilterMode::kVanilla}) {
     for (const ModelInfo& m : seed_examples()) {
       TensatOptions opt = explore_options();
-      opt.sharded_commit = sharded;
+      opt.cycle_filter = mode;
       opt.apply_threads = 1;
       const std::string baseline = explore_and_fingerprint(m.graph, opt);
       for (size_t threads : {2u, 8u}) {
         opt.apply_threads = threads;
         EXPECT_EQ(baseline, explore_and_fingerprint(m.graph, opt))
-            << m.name << " sharded=" << sharded
+            << m.name << " mode=" << static_cast<int>(mode)
             << " apply_threads=" << threads;
       }
     }
@@ -104,24 +97,19 @@ TEST(ApplyPipeline, IncrementalCyclesDeterministicAcrossThreadCounts) {
   // rebuild boundary, so its map — and with it the pre-filter's answers and
   // the filtered node set — must be a pure function of the e-graph state,
   // never of worker count or scheduling: bit-identical e-graphs for any
-  // apply_threads/search_threads combination, in both cycle modes, with the
-  // sharded commit on or off (the full toggle matrix).
-  for (bool sharded : {true, false}) {
-    for (bool incremental : {true, false}) {
-      for (const ModelInfo& m : seed_examples()) {
-        TensatOptions opt = explore_options();
-        opt.sharded_commit = sharded;
-        opt.incremental_cycles = incremental;
-        opt.search_threads = 1;
-        opt.apply_threads = 1;
-        const std::string baseline = explore_and_fingerprint(m.graph, opt);
-        for (size_t threads : {2u, 8u}) {
-          opt.search_threads = threads;
-          opt.apply_threads = threads;
-          EXPECT_EQ(baseline, explore_and_fingerprint(m.graph, opt))
-              << m.name << " sharded=" << sharded
-              << " incremental=" << incremental << " threads=" << threads;
-        }
+  // apply_threads/search_threads combination, in both cycle modes.
+  for (bool incremental : {true, false}) {
+    for (const ModelInfo& m : seed_examples()) {
+      TensatOptions opt = explore_options();
+      opt.incremental_cycles = incremental;
+      opt.search_threads = 1;
+      opt.apply_threads = 1;
+      const std::string baseline = explore_and_fingerprint(m.graph, opt);
+      for (size_t threads : {2u, 8u}) {
+        opt.search_threads = threads;
+        opt.apply_threads = threads;
+        EXPECT_EQ(baseline, explore_and_fingerprint(m.graph, opt))
+            << m.name << " incremental=" << incremental << " threads=" << threads;
       }
     }
   }
@@ -138,118 +126,7 @@ TEST(ApplyPipeline, SearchAndApplyThreadsCompose) {
   }
 }
 
-// ---- Staged pipeline vs legacy direct path ---------------------------------
-
-TEST(ApplyPipeline, StagedMatchesLegacyDirectPath) {
-  // The two paths are differential baselines of each other. They agree on
-  // everything semantically visible — applications, merges, filtered nodes,
-  // extraction — but not byte-for-byte: the direct path's instantiate adds
-  // nodes bottom-up and leaves partial junk behind when a later node fails
-  // its shape check or the src/target data compare, while a non-viable plan
-  // commits nothing. Staged is therefore never larger than legacy on these
-  // workloads (commit-time shape failures, which can also strand nodes on
-  // the staged path, do not occur here — no mid-iteration analysis joins).
-  //
-  // Pinned to sharded_commit = false: the size comparisons below hold only
-  // for the serial commit, whose interleaved insert/merge collapses
-  // would-be duplicates through the live hash-cons before inserting. Batch
-  // mode resolves against the clean snapshot, so duplicates that a merge
-  // earlier in the same batch would have collapsed land as separate nodes
-  // and fall to the rebuild — a distinct valid mode, covered by
-  // ShardedCommitMatchesSerialCommitSemantically below.
-  for (CycleFilterMode mode :
-       {CycleFilterMode::kEfficient, CycleFilterMode::kVanilla}) {
-    for (const ModelInfo& m : seed_examples()) {
-      TensatOptions opt = explore_options();
-      opt.sharded_commit = false;
-      opt.cycle_filter = mode;
-
-      opt.staged_apply = false;
-      EGraph legacy = seed_egraph(m.graph);
-      const ExploreStats legacy_stats = run_exploration(legacy, default_rules(), opt);
-      opt.staged_apply = true;
-      EGraph staged = seed_egraph(m.graph);
-      const ExploreStats staged_stats = run_exploration(staged, default_rules(), opt);
-
-      // applications is NOT compared: the direct path's stranded partial
-      // nodes are matchable in later iterations, so its application count
-      // drifts upward relative to staged on multi-iteration runs.
-      EXPECT_GT(staged_stats.applications, 0u) << m.name;
-      EXPECT_EQ(legacy_stats.iterations, staged_stats.iterations) << m.name;
-      EXPECT_EQ(legacy_stats.stop, staged_stats.stop) << m.name;
-      EXPECT_EQ(legacy.num_filtered(), staged.num_filtered()) << m.name;
-      EXPECT_EQ(legacy.num_classes() >= staged.num_classes(), true) << m.name;
-      EXPECT_GE(legacy.num_enodes_total(), staged.num_enodes_total()) << m.name;
-
-      const T4CostModel model;
-      const ExtractionResult lx = extract_greedy(legacy, model);
-      const ExtractionResult sx = extract_greedy(staged, model);
-      ASSERT_EQ(lx.ok, sx.ok) << m.name;
-      if (lx.ok) {
-        EXPECT_DOUBLE_EQ(lx.cost, sx.cost) << m.name;
-        EXPECT_EQ(lx.graph.to_sexpr(lx.graph.roots()[0]),
-                  sx.graph.to_sexpr(sx.graph.roots()[0]))
-            << m.name << " mode=" << static_cast<int>(mode);
-      }
-    }
-  }
-}
-
-// ---- Sharded batch commit vs serial commit ---------------------------------
-
-TEST(ApplyPipeline, ShardedCommitMatchesSerialCommitSemantically) {
-  // Batch mode inserts the whole iteration's fresh nodes before any merge,
-  // so nodes the serial commit would have collapsed through the live
-  // hash-cons instead collapse at the rebuild. The two modes are therefore
-  // not bit-replays of each other — the e-graphs can hold different (but
-  // equivalent) node sets, and greedy extraction may break cost ties toward
-  // different representatives. What must agree is the semantics: the run
-  // stops for the same reason, extraction succeeds on both, and the
-  // extracted graphs cost exactly the same.
-  for (bool incremental : {true, false}) {
-    for (const ModelInfo& m : seed_examples()) {
-      TensatOptions opt = explore_options();
-      opt.incremental_cycles = incremental;
-
-      opt.sharded_commit = false;
-      EGraph serial = seed_egraph(m.graph);
-      const ExploreStats serial_stats =
-          run_exploration(serial, default_rules(), opt);
-      opt.sharded_commit = true;
-      EGraph sharded = seed_egraph(m.graph);
-      const ExploreStats sharded_stats =
-          run_exploration(sharded, default_rules(), opt);
-
-      EXPECT_GT(sharded_stats.applications, 0u) << m.name;
-      EXPECT_EQ(serial_stats.stop, sharded_stats.stop)
-          << m.name << " incremental=" << incremental;
-
-      const T4CostModel model;
-      const ExtractionResult sx = extract_greedy(serial, model);
-      const ExtractionResult bx = extract_greedy(sharded, model);
-      ASSERT_EQ(sx.ok, bx.ok) << m.name;
-      if (sx.ok) {
-        EXPECT_DOUBLE_EQ(sx.cost, bx.cost)
-            << m.name << " incremental=" << incremental;
-      }
-    }
-  }
-}
-
-TEST(ApplyPipeline, ShardedToggleIsNoOpOnLegacyDirectPath) {
-  // sharded_commit only routes the staged pipeline's stage 2; with
-  // staged_apply off it must change nothing, bit-for-bit.
-  for (const ModelInfo& m : seed_examples()) {
-    TensatOptions opt = explore_options();
-    opt.staged_apply = false;
-    opt.sharded_commit = false;
-    const std::string baseline = explore_and_fingerprint(m.graph, opt);
-    opt.sharded_commit = true;
-    EXPECT_EQ(baseline, explore_and_fingerprint(m.graph, opt)) << m.name;
-  }
-}
-
-// ---- plan/commit parity with direct instantiate ----------------------------
+// ---- plan/commit parity with instantiate() ---------------------------------
 
 TEST(ApplyPipeline, PlanCommitParityWithDirectInstantiate) {
   const Rewrite rule =
@@ -302,7 +179,7 @@ TEST(ApplyPipeline, PlanCommitParityWithDirectInstantiate) {
 
 TEST(ApplyPipeline, PlanRejectsShapeFailuresWithoutMutation) {
   // A matmul of shape-incompatible operands must fail the plan the same way
-  // the direct path fails, leaving no trace in buffer or e-graph.
+  // instantiate() fails, leaving no trace in the e-graph.
   Graph g;
   const Id a = g.input("a", {8, 8});
   const Id z = g.input("z", {3, 5});  // 8x8 matmul 3x5: shape check fails
@@ -326,8 +203,8 @@ TEST(ApplyPipeline, PlanRejectsShapeFailuresWithoutMutation) {
   EXPECT_EQ(buf.size(), 1u);  // the axis literal was staged before the failure
   EXPECT_EQ(before, fingerprint(eg));  // ...but nothing touched the e-graph
 
-  // Contrast with the direct path: it adds nodes bottom-up, so the failed
-  // instantiation leaves the orphan literal behind — the junk the staged
+  // Contrast with instantiate(): it adds nodes bottom-up, so the failed
+  // instantiation leaves the orphan literal behind — the junk the
   // pipeline's all-or-nothing commit avoids.
   EXPECT_FALSE(instantiate(eg, pat, roots[0], subst).has_value());
   EXPECT_EQ(eg.num_enodes_total(), enodes_before + 1);

@@ -4,10 +4,10 @@
 // e-graphs with equal fingerprints are identical up to e-node order within a
 // class: same canonical class ids, same analysis data, same e-node sets,
 // same filtered flags, and — via each e-node's insertion stamp — the same
-// global insertion order. The stamps are what make the sharded-commit
-// determinism tests strong: a parallel fill that permuted insertion order
-// across thread counts would produce equal node *sets* but different
-// stamps, and the fingerprint would catch it.
+// global insertion order. The stamps are what make the determinism tests
+// strong: a commit that permuted insertion order across thread counts would
+// produce equal node *sets* but different stamps, and the fingerprint would
+// catch it.
 #pragma once
 
 #include <algorithm>

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "cycles/cycles.h"
 #include "models/models.h"
 #include "optimizer/optimizer.h"
@@ -161,6 +163,36 @@ TEST(Optimizer, StatsAreCoherent) {
   EXPECT_GT(r.explore.matches_found, 0u);
   EXPECT_GE(r.explore.seconds, 0.0);
   EXPECT_GE(r.extract_seconds, 0.0);
+}
+
+TEST(Optimizer, GreedyCostsPinnedOnTinyModels) {
+  // Exploration is deterministic, so the greedy-extracted cost of every tiny
+  // model is a fixed number. Pinning it catches any change to the
+  // exploration pipeline that alters what it finds.
+  struct Pin {
+    const char* model;
+    double cost;
+  };
+  const Pin pins[] = {
+      {"NasRNN", 200.0423999999999},      {"BERT", 45.029122633744862},
+      {"ResNeXt-50", 30.124971193415639}, {"NasNet-A", 60.378419753086412},
+      {"SqueezeNet", 30.055807407407407}, {"VGG-19", 123.82292222222222},
+      {"Inception-v3", 55.074502057613159}, {"ResNet-50", 35.207940740740739},
+  };
+  const std::vector<ModelInfo> models = tiny_models();
+  ASSERT_EQ(models.size(), std::size(pins));
+  for (size_t i = 0; i < models.size(); ++i) {
+    ASSERT_EQ(models[i].name, pins[i].model);
+    TensatOptions opt;
+    opt.k_max = 3;
+    opt.k_multi = 1;
+    opt.node_limit = 3000;
+    EGraph eg = seed_egraph(models[i].graph);
+    run_exploration(eg, default_rules(), opt);
+    const ExtractionResult ext = extract_greedy(eg, model());
+    ASSERT_TRUE(ext.ok) << pins[i].model;
+    EXPECT_DOUBLE_EQ(ext.cost, pins[i].cost) << pins[i].model;
+  }
 }
 
 }  // namespace

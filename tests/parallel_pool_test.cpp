@@ -296,19 +296,5 @@ TEST(ParallelPoolTest, QueueDepthSeesAllLanes) {
   parallel_for(64, 4, [](size_t) {});
 }
 
-// The spawning baseline (bench section 8's comparison point) must agree
-// with the pool on the success path: same per-index coverage.
-TEST(ParallelPoolTest, SpawningBaselineCoversAllIndices) {
-  constexpr size_t kN = 512;
-  std::vector<std::atomic<uint8_t>> pool_hits(kN);
-  std::vector<std::atomic<uint8_t>> spawn_hits(kN);
-  parallel_for(kN, 4, [&](size_t i) { pool_hits[i].fetch_add(1); });
-  spawning_parallel_for(kN, 4, [&](size_t i) { spawn_hits[i].fetch_add(1); });
-  for (size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(pool_hits[i].load(), 1u);
-    ASSERT_EQ(spawn_hits[i].load(), 1u);
-  }
-}
-
 }  // namespace
 }  // namespace tensat
