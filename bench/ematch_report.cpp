@@ -19,13 +19,15 @@
 //     ExploreStats::dmap_seconds + cycle_sweep_seconds. The two modes must
 //     agree on applications and filtered nodes (they produce bit-identical
 //     e-graphs). Gate: incremental must not be slower than fresh overall.
-//  6. extract: ILP extraction on explored e-graphs; the decomposing engine
-//     (extract/engine: reductions + SCC condensation + per-core solves) vs
-//     the monolithic one-shot ILP. On instances both solve, costs must agree
-//     and the engine must not be slower overall; additionally at least one
-//     instance the monolithic path rejects as too_large (its post-presolve
-//     variable count exceeds max_instance_nodes) must be solved by the
-//     engine — the scalability claim the subsystem exists for.
+//  6. extract: ILP extraction on explored e-graphs; the engine (extract/
+//     engine: reductions + SCC condensation + per-core solves, the one
+//     production extractor) vs the monolithic one-shot ILP (the test
+//     oracle). On instances both solve, costs must agree (exit 10); the
+//     time ratio is recorded, not gated. At least one instance the
+//     monolithic path rejects as too_large (its post-presolve variable count
+//     exceeds max_instance_nodes) must be solved by the engine (exit 9) —
+//     the scalability claim the subsystem exists for — and explored
+//     BERT(2,32,128) must be certified within 1% (exit 13).
 //  7. trace: the full canonical-pattern sweep on the explored-BERT e-graph
 //     (every ematch::search emits a span) with a trace::Tracer installed vs
 //     disabled, min-of-N timing to resist CI noise. Gate: tracing-enabled
@@ -71,7 +73,6 @@
 #include "serialize/serialize.h"
 #include "service/service.h"
 #include "support/buildinfo.h"
-#include "support/rng.h"
 #include "support/parallel.h"
 #include "support/pool.h"
 #include "support/timer.h"
@@ -411,9 +412,11 @@ int main(int argc, char** argv) {
   // Explored e-graphs (cycle-filtered, so extraction runs without the
   // acyclicity constraints — the paper's main mode). The first rows are
   // sized so the monolithic ILP solves them: there the engine must match the
-  // cost and not be slower overall. The last row is sized past the
-  // monolithic max_instance_nodes refusal: the engine must solve it anyway
-  // (its largest residual core stays small), demonstrating the cap lift.
+  // cost; the time ratio is recorded, not gated (it keeps the engine's fixed
+  // per-core overhead on small instances visible). One row is sized past
+  // the monolithic max_instance_nodes refusal: the engine must solve it
+  // anyway (its largest residual core stays small), demonstrating the cap
+  // lift.
   struct ExtractSide {
     double seconds{0.0};
     double cost{0.0};
@@ -497,7 +500,6 @@ int main(int argc, char** argv) {
     row.engine.seconds = t.seconds();
     row.engine.cost = engine.cost;
     row.engine.ok = engine.ok;
-    row.engine.too_large = engine.too_large;
     row.engine.timed_out = engine.timed_out;
     row.engine.vars = engine.stats.milp_vars_total;
     row.engine.cores = engine.stats.num_cores;
@@ -549,7 +551,7 @@ int main(int argc, char** argv) {
   }
   // With no mutually solved row (e.g. the monolithic side times out on every
   // shared instance on a loaded runner) there is nothing to compare: the
-  // speed gate is skipped rather than reported as an engine loss.
+  // ratio reads 1.0 rather than an engine loss.
   const double extract_speedup =
       extract_shared_rows == 0 ? 1.0
       : engine_extract_seconds > 0.0
@@ -564,59 +566,6 @@ int main(int argc, char** argv) {
     bert_gap = r.engine.gap;
     bert_gap_ok = r.engine.ok && r.engine.gap >= 0.0 && r.engine.gap <= 0.01;
   }
-
-  // ---- Section 6b: per-node LP microbench, sparse vs dense simplex ---------
-  // One extraction-shaped LP relaxation (cover rows over [0,1] variables —
-  // the exact shape of a B&B node) solved cold by both solve_lp paths,
-  // min-of-reps. The sparse revised simplex must be >= 2x the dense tableau
-  // per node (gated, exit 14): its per-iteration cost is O(nnz + eta file)
-  // against the tableau's O(m * (n + m)) full-matrix update.
-  double lp_dense_s = 0.0, lp_sparse_s = 0.0, lp_micro_obj = 0.0;
-  size_t lp_micro_vars = 0, lp_micro_rows_n = 0;
-  {
-    Rng lp_rng(4242);
-    LinearProgram micro;
-    constexpr int kMicroVars = 700;
-    constexpr int kMicroRows = 450;
-    for (int j = 0; j < kMicroVars; ++j)
-      micro.add_var(0.0, 1.0, lp_rng.uniform(0.5, 4.0));
-    for (int r = 0; r < kMicroRows; ++r) {
-      LinearProgram::Row row;
-      while (row.terms.size() < 6) {
-        const int j = static_cast<int>(lp_rng.below(kMicroVars));
-        bool dup = false;
-        for (const auto& [jj, c] : row.terms) dup = dup || jj == j;
-        if (!dup) row.terms.emplace_back(j, 1.0);
-      }
-      row.lo = 1.0;
-      row.hi = tensat::kInf;
-      micro.rows.push_back(row);
-    }
-    lp_micro_vars = static_cast<size_t>(micro.num_vars());
-    lp_micro_rows_n = micro.rows.size();
-    const auto time_lp_path = [&](bool sparse) {
-      LpOptions o;
-      o.sparse = sparse;
-      double best = std::numeric_limits<double>::infinity();
-      for (int rep = 0; rep < 5; ++rep) {
-        Timer t;
-        const LpResult r = solve_lp(micro, o);
-        if (r.status != LpStatus::kOptimal) return -1.0;
-        lp_micro_obj = r.objective;
-        best = std::min(best, t.seconds());
-      }
-      return best;
-    };
-    lp_dense_s = time_lp_path(false);
-    lp_sparse_s = time_lp_path(true);
-  }
-  const double lp_micro_speedup =
-      lp_dense_s > 0.0 && lp_sparse_s > 0.0 ? lp_dense_s / lp_sparse_s : 0.0;
-  std::printf("\n%-24s %10s | %10s | %8s   (%zu vars, %zu cover rows)\n",
-              "per-node LP solve", "dense s", "sparse s", "speedup",
-              lp_micro_vars, lp_micro_rows_n);
-  std::printf("%-24s %10.4f | %10.4f | %7.2fx\n", "extraction-shaped LP",
-              lp_dense_s, lp_sparse_s, lp_micro_speedup);
 
   // ---- Section 7: tracing overhead, enabled vs disabled --------------------
   // Workload: the explored-BERT canonical-pattern sweep (the trace-densest
@@ -635,8 +584,8 @@ int main(int argc, char** argv) {
       return total;
     };
     // Warm up before calibrating: the first sweep here runs on caches cold
-    // from the LP section and can read >10x the steady-state sweep, and
-    // calibrating the rep size on it shrinks reps to a few ms — fragile
+    // from the extraction section and can read >10x the steady-state sweep,
+    // and calibrating the rep size on it shrinks reps to a few ms — fragile
     // against timer granularity and vCPU steal. Calibrate on the
     // steady-state rate so one rep is ~50ms of work.
     sweep();
@@ -903,7 +852,7 @@ int main(int argc, char** argv) {
   std::fprintf(f, "{\n");
   // Provenance: enough to tell which commit, build flavor, and machine class
   // produced the numbers when two BENCH_ematch.json artifacts disagree.
-  std::fprintf(f, "  \"schema_version\": 7,\n");
+  std::fprintf(f, "  \"schema_version\": 8,\n");
   std::fprintf(f, "  \"git_sha\": \"%s\",\n", build_git_sha());
   std::fprintf(f, "  \"build_type\": \"%s\",\n", build_type());
   std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
@@ -1001,10 +950,10 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"extract\": {\n");
   std::fprintf(f, "    \"workload\": \"ILP extraction of explored (cycle-filtered) "
-                  "e-graphs: the decomposing engine (extract/engine: reductions + "
-                  "SCC condensation + tree-like DP collapse + per-core solves) vs "
-                  "the monolithic one-shot ILP; the last row exceeds the "
-                  "monolithic max_instance_nodes cap on purpose\",\n");
+                  "e-graphs: the engine (extract/engine: reductions + SCC "
+                  "condensation + tree-like DP collapse + per-core solves) vs "
+                  "the monolithic one-shot ILP oracle; SharedMM(8x12) exceeds "
+                  "the monolithic max_instance_nodes cap on purpose\",\n");
   std::fprintf(f, "    \"time_limit_s\": %.1f,\n", extract_time_limit);
   std::fprintf(f, "    \"rows\": [\n");
   for (size_t i = 0; i < extract_rows.size(); ++i) {
@@ -1052,18 +1001,6 @@ int main(int argc, char** argv) {
                    : "null");
   std::fprintf(f, "    \"bert_gap_within_1pct\": %s\n",
                bert_gap_ok ? "true" : "false");
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"lp_microbench\": {\n");
-  std::fprintf(f, "    \"workload\": \"one extraction-shaped LP relaxation "
-                  "(%zu [0,1] vars, %zu 6-term cover rows) solved cold by "
-                  "solve_lp, dense tableau vs sparse revised simplex "
-                  "(LpOptions::sparse); min of 5 reps each\",\n",
-               lp_micro_vars, lp_micro_rows_n);
-  std::fprintf(f, "    \"objective\": %.6f,\n", lp_micro_obj);
-  std::fprintf(f, "    \"dense\": {\"seconds\": %.6f}, "
-                  "\"sparse\": {\"seconds\": %.6f},\n",
-               lp_dense_s, lp_sparse_s);
-  std::fprintf(f, "    \"speedup_sparse_over_dense\": %.2f\n", lp_micro_speedup);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"trace\": {\n");
   std::fprintf(f, "    \"workload\": \"full canonical-pattern sweep on the "
@@ -1148,25 +1085,21 @@ int main(int argc, char** argv) {
 
   std::printf("\noverall speedup (vm over naive): %.2fx, (pooled over serial "
               "apply): %.2fx, (incremental over fresh cycles): %.2fx, (engine "
-              "over monolithic extract): %.2fx, (engine solved a too-large "
-              "instance): %s, (BERT gap): %s, (sparse over dense LP): %.2fx, "
-              "(tracing overhead): %.3fx, (cached service over cold): %.1fx, "
-              "(service hits bit-identical): %s, (metrics overhead): %.3fx -> "
-              "%s\n",
+              "over monolithic extract, not gated): %.2fx, (engine solved a "
+              "too-large instance): %s, (BERT gap): %s, (tracing overhead): "
+              "%.3fx, (cached service over cold): %.1fx, (service hits "
+              "bit-identical): %s, (metrics overhead): %.3fx -> %s\n",
               speedup, apply_speedup, cycle_speedup, extract_speedup,
               solved_too_large ? "yes" : "NO",
-              bert_gap_ok ? "<= 1%" : "MISSED", lp_micro_speedup,
-              trace_overhead, service_speedup,
+              bert_gap_ok ? "<= 1%" : "MISSED", trace_overhead, service_speedup,
               service_bit_identical ? "yes" : "NO", metrics_overhead,
               out_path.c_str());
   if (speedup < 2.0) return 2;        // gate: VM must be >= 2x naive
   if (apply_speedup < 1.0) return 5;  // gate: pooled apply must not lose overall
   if (cycle_speedup < 1.0) return 6;  // gate: incremental cycles must not lose
-  if (extract_speedup < 1.0) return 8;  // gate: engine extraction must not lose
   if (!solved_too_large) return 9;    // gate: engine must lift the size cap
   if (trace_overhead > 1.05) return 11;  // gate: tracing-enabled overhead <= 5%
   if (!bert_gap_ok) return 13;  // gate: BERT extraction certified within 1%
-  if (lp_micro_speedup < 2.0) return 14;  // gate: sparse LP >= 2x dense
   if (service_speedup < 5.0) return 15;  // gate: cached service >= 5x cold
   if (!service_bit_identical) return 16;  // gate: hits == cold recomputation
   if (metrics_overhead > 1.05) return 17;  // gate: metrics-enabled <= 1.05x

@@ -48,8 +48,7 @@ int main() {
       original.single_root();
       const double runtime_pct = speedup_percent(graph_cost(original, runtime),
                                                  graph_cost(r.optimized, runtime));
-      const char* stop = r.ilp.too_large         ? "ilp-too-large"
-                         : r.ilp.timed_out       ? "ilp-timeout"
+      const char* stop = r.ilp.timed_out ? "ilp-timeout"
                          : r.explore.stop == StopReason::kSaturated ? "saturated"
                          : r.explore.stop == StopReason::kNodeLimit ? "node-limit"
                                                                     : "iter-limit";

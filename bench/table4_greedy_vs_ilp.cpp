@@ -4,7 +4,8 @@
 // regresses — while ILP extraction finds the optimum.
 //
 // Rows: runtime cost (simulated microseconds) of the original graph and of
-// the graphs produced by greedy and by ILP extraction, k_multi = 1.
+// the graphs produced by greedy and by ILP extraction (extract_engine, the
+// extractor optimize() runs), k_multi = 1.
 #include "bench/bench_common.h"
 
 using namespace tensat;
@@ -24,7 +25,7 @@ int main() {
 
     const double original = graph_cost(m.graph, cost_model());
     const ExtractionResult greedy = extract_greedy(eg, cost_model());
-    const IlpExtractionResult ilp = extract_ilp(eg, cost_model(), opt.ilp);
+    const EngineExtractionResult ilp = extract_engine(eg, cost_model(), opt.ilp);
 
     std::printf("%-14s %14.2f %14.2f %14.2f%s\n", name.c_str(), original,
                 greedy.ok ? greedy.cost : -1.0, ilp.ok ? ilp.cost : -1.0,

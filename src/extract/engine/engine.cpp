@@ -113,6 +113,22 @@ struct Core {
   MilpResult milp;
 };
 
+/// The decision variable of class slot `s`'s DP (greedy) choice in `core`:
+/// the pseudo-leaf variable of a collapsed class, else the variable of its
+/// dp_inc_choice option; -1 when the class has no finite DP choice.
+int dp_choice_var(const Problem& p, const Core& core, uint32_t s) {
+  const ClassSlot& c = p.classes[s];
+  if (c.collapsed) return core.first_var[s];
+  if (c.dp_inc_choice < 0) return -1;
+  int var = core.first_var[s];
+  for (size_t k = 0; k < c.options.size(); ++k) {
+    if (c.options[k].pruned) continue;
+    if (static_cast<int32_t>(k) == c.dp_inc_choice) return var;
+    ++var;
+  }
+  return -1;
+}
+
 /// Turns a per-class choice (class slot -> decision var) into a full LP
 /// point for one core: x = 1 for every class actually needed by the closure
 /// from the core's forced classes, with per-SCC topological values assigned
@@ -187,14 +203,7 @@ std::optional<std::vector<double>> closure_to_x(
 
 EngineExtractionResult extract_engine(const EGraph& eg, const CostModel& model,
                                       const ExtractEngineOptions& options) {
-  if (!options.decompose) {
-    EngineExtractionResult result;
-    static_cast<IlpExtractionResult&>(result) = extract_ilp(eg, model, options);
-    return result;
-  }
-
   EngineExtractionResult result;
-  result.decomposed = true;
   Timer timer;
   Timer phase_timer;
 
@@ -226,8 +235,7 @@ EngineExtractionResult extract_engine(const EGraph& eg, const CostModel& model,
   // extract_greedy sums per child occurrence, so their argmins can differ
   // on classes with duplicated children.)
   ExtractionResult greedy;
-  if (options.warm_start_with_greedy && p.classes[p.root].dp_cost < kInfCost)
-    greedy = extract_greedy(eg, model);
+  if (p.classes[p.root].dp_cost < kInfCost) greedy = extract_greedy(eg, model);
   // The warm-start/fallback computation is charged to lp-build, the phase
   // the monolithic path books it under, so the per-phase breakdown stays
   // comparable across the two paths.
@@ -293,8 +301,7 @@ EngineExtractionResult extract_engine(const EGraph& eg, const CostModel& model,
   // Per-core budget: the decomposed analog of the monolithic
   // max_instance_nodes cap — instance size no longer matters, core size
   // does. Oversized cores drop to the LP-relaxation + rounding fallback
-  // (one B&B root node) instead of refusing the whole extraction, unless
-  // lp_fallback is off (the pre-fallback baseline).
+  // (one B&B root node) instead of refusing the whole extraction.
   size_t vars_total = 0;
   std::vector<uint8_t> fallback(cores.size(), 0);
   for (size_t k = 0; k < cores.size(); ++k) {
@@ -305,7 +312,7 @@ EngineExtractionResult extract_engine(const EGraph& eg, const CostModel& model,
     }
     vars_total += vars;
     result.stats.largest_core_vars = std::max(result.stats.largest_core_vars, vars);
-    if (vars > options.max_core_nodes && options.lp_fallback) {
+    if (vars > options.max_core_nodes) {
       fallback[k] = 1;
       ++result.stats.fallback_cores;
     }
@@ -313,14 +320,6 @@ EngineExtractionResult extract_engine(const EGraph& eg, const CostModel& model,
   result.stats.num_cores = num_components;
   result.stats.milp_vars_total = vars_total;
   result.num_vars = vars_total;
-  if (result.stats.largest_core_vars > options.max_core_nodes &&
-      !options.lp_fallback) {
-    result.too_large = true;
-    result.timed_out = true;
-    result.stats.lp_build_seconds += phase_timer.seconds();
-    result.solve_seconds = timer.seconds();
-    return result;
-  }
 
   size_t rows_total = 0;
   for (Core& core : cores) {
@@ -436,23 +435,10 @@ EngineExtractionResult extract_engine(const EGraph& eg, const CostModel& model,
     rows_total += core.lp.rows.size();
 
     // Warm start: the DP (greedy) selection restricted to this core.
-    if (options.warm_start_with_greedy) {
-      auto choose_dp = [&](uint32_t s) -> int {
-        const ClassSlot& c = p.classes[s];
-        if (c.collapsed) return core.first_var[s];
-        if (c.dp_inc_choice < 0) return -1;
-        int var = core.first_var[s];
-        for (size_t k = 0; k < c.options.size(); ++k) {
-          if (c.options[k].pruned) continue;
-          if (static_cast<int32_t>(k) == c.dp_inc_choice) return var;
-          ++var;
-        }
-        return -1;
-      };
-      auto x = closure_to_x(p, core, options.cycle_constraints,
-                            options.integer_topo_vars, scc_size, choose_dp);
-      if (x && core.lp.feasible(*x, 1e-6)) core.warm = std::move(x);
-    }
+    auto choose_dp = [&](uint32_t s) { return dp_choice_var(p, core, s); };
+    auto x = closure_to_x(p, core, options.cycle_constraints,
+                          options.integer_topo_vars, scc_size, choose_dp);
+    if (x && core.lp.feasible(*x, 1e-6)) core.warm = std::move(x);
   }
   result.num_rows = rows_total;
   phase_mark("extract/build");
@@ -462,8 +448,6 @@ EngineExtractionResult extract_engine(const EGraph& eg, const CostModel& model,
   // ---- Solve the cores in parallel, merge in core order ------------------
   MilpOptions milp_opt_base;
   milp_opt_base.rel_gap = options.rel_gap;
-  milp_opt_base.sparse = options.sparse_lp;
-  milp_opt_base.warm_start_basis = options.warm_start_basis;
   // Dispatch gate (the kMinParallelSearchWork lesson): parallelizing a
   // handful of tiny MILPs costs more than solving them, so the DEFAULT
   // (core_threads == 0) solves small instances on the calling thread —
@@ -538,17 +522,7 @@ EngineExtractionResult extract_engine(const EGraph& eg, const CostModel& model,
             best = v;
           }
         }
-        if (best >= 0) return best;
-        const ClassSlot& c = p.classes[s];
-        if (c.collapsed) return first;
-        if (c.dp_inc_choice < 0) return -1;
-        int var = first;
-        for (size_t j = 0; j < c.options.size(); ++j) {
-          if (c.options[j].pruned) continue;
-          if (static_cast<int32_t>(j) == c.dp_inc_choice) return var;
-          ++var;
-        }
-        return -1;
+        return best >= 0 ? best : dp_choice_var(p, core, s);
       };
       return closure_to_x(p, core, options.cycle_constraints,
                           options.integer_topo_vars, scc_size, choose_rounded);

@@ -16,10 +16,15 @@
 //  3. Per-core branch & bound (ilp/milp.h) over the support/parallel.h pool,
 //     merged deterministically, then one stitched global selection.
 //
-// The monolithic path survives as ExtractEngineOptions::decompose = false —
-// the differential oracle (tests/extract_test.cpp, tests/extract_fuzz_test
-// .cpp pin exact-cost parity on every instance both paths solve), following
-// the same convention as search_pattern_naive.
+// Oversized cores (> max_core_nodes decision variables) take the
+// LP-relaxation + rounding fallback instead of refusing the extraction.
+//
+// The engine is the one production extractor: optimize(), the service and
+// the benches all call it. The monolithic extract_ilp (extract/extract.h) is
+// not a mode of it; it stays as the paper's literal formulation, the
+// differential oracle (tests/extract_test.cpp and tests/extract_fuzz_test
+// .cpp pin exact-cost parity on every instance both solve), following the
+// same convention as search_pattern_naive.
 #pragma once
 
 #include <cstdint>
@@ -80,23 +85,14 @@ uint64_t milp_formulation_key(const LinearProgram& lp,
                               const std::vector<bool>& integer_mask);
 
 struct ExtractEngineOptions : IlpExtractOptions {
-  /// True (default) runs the staged reduce/condense/per-core pipeline.
-  /// False delegates to the monolithic extract_ilp — identical behavior to
-  /// the pre-engine code path, kept as the differential baseline.
-  bool decompose = true;
   /// Per-core budget on decision variables, replacing the monolithic
-  /// max_instance_nodes (which the engine deliberately ignores when
-  /// decomposing: the whole point is that total instance size no longer
-  /// bounds what is solvable — only the largest residual core does).
-  /// Cores over the budget are handled per lp_fallback.
+  /// max_instance_nodes (which the engine deliberately ignores: total
+  /// instance size no longer bounds what is solvable — only the largest
+  /// residual core does). Cores over the budget are solved by the
+  /// LP-relaxation + iterative-rounding fallback — a single B&B root node:
+  /// root LP, vector dive, LP-guided rounding — returning a feasible
+  /// selection with a certified gap (ExtractStats::gap).
   size_t max_core_nodes = 2600;
-  /// Oversized cores (> max_core_nodes decision variables) are solved by
-  /// the LP-relaxation + iterative-rounding fallback — a single B&B root
-  /// node: root LP, vector dive, LP-guided rounding — returning a feasible
-  /// selection with a certified gap (ExtractStats::gap) instead of a
-  /// too_large refusal. false restores the refusal, the pre-fallback
-  /// baseline.
-  bool lp_fallback = true;
   /// Worker threads for the per-core MILP solves. 0 (default) = one per
   /// hardware thread, except that single-core or tiny instances solve on
   /// the calling thread (thread spawns would cost more than the solves);
@@ -112,15 +108,12 @@ struct ExtractEngineOptions : IlpExtractOptions {
   MilpWarmCache* warm_cache = nullptr;
 };
 
-struct EngineExtractionResult : IlpExtractionResult {
-  /// True when the decomposing pipeline ran (false = monolithic delegate).
-  bool decomposed{false};
-};
+using EngineExtractionResult = IlpExtractionResult;
 
 /// ILP extraction from the e-graph's root class through the engine.
 /// Semantics match extract_ilp: greedy warm starts and fallbacks, timeout
-/// and too-large reporting, cyclic-selection fallback; `stats` carries the
-/// per-phase breakdown either way.
+/// reporting, cyclic-selection fallback; `stats` carries the per-phase
+/// breakdown. Never too_large: oversized cores take the LP fallback.
 EngineExtractionResult extract_engine(const EGraph& eg, const CostModel& model,
                                       const ExtractEngineOptions& options = {});
 

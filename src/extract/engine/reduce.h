@@ -1,8 +1,7 @@
 // Reduction passes of the extraction engine: exact presolve that shrinks the
 // decision problem before any MILP is assembled. Every pass preserves the
 // optimal extraction cost (see docs/ARCHITECTURE.md for the soundness
-// arguments); the differential oracle is the monolithic ILP
-// (ExtractEngineOptions::decompose = false).
+// arguments); the differential oracle is the monolithic ILP (extract_ilp).
 //
 //  * Forced-choice propagation: the root is selected in every solution; a
 //    class is forced when some forced parent's every live e-node references

@@ -437,23 +437,18 @@ IlpExtractionResult extract_ilp(const EGraph& eg, const CostModel& model,
 
   // Greedy solution: warm start (incumbent upper bound) plus the fallback
   // returned on timeout, as in the paper.
-  ExtractionResult greedy;
-  std::unordered_map<Id, TNode> greedy_sel;
+  ExtractionResult greedy = extract_greedy(eg, model);
+  const std::unordered_map<Id, TNode> greedy_sel =
+      greedy_selection(eg, model, classes);
   std::optional<std::vector<double>> warm;
-  if (options.warm_start_with_greedy) {
-    greedy = extract_greedy(eg, model);
-    greedy_sel = greedy_selection(eg, model, classes);
-    if (greedy.ok && greedy_sel.count(root) > 0) {
-      if (auto x = selection_to_x(greedy_sel); x && lp.feasible(*x, 1e-6))
-        warm = std::move(x);
-    }
+  if (greedy.ok && greedy_sel.count(root) > 0) {
+    if (auto x = selection_to_x(greedy_sel); x && lp.feasible(*x, 1e-6))
+      warm = std::move(x);
   }
 
   MilpOptions milp_opt;
   milp_opt.time_limit_s = options.time_limit_s;
   milp_opt.rel_gap = options.rel_gap;
-  milp_opt.sparse = options.sparse_lp;
-  milp_opt.warm_start_basis = options.warm_start_basis;
   // LP-guided rounding: per class take the variable with the largest
   // fractional value (falling back to greedy for classes the LP zeroes);
   // this is how good incumbents appear long before optimality is proven.

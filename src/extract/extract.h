@@ -8,7 +8,9 @@
 //    cycle constraints (4)-(5) with real or integer t_m. Filter-list
 //    e-nodes are pinned to x_i = 0 (we simply omit their variables).
 //    Solved by the in-repo branch & bound (ilp/milp.h), warm-started from
-//    the greedy solution.
+//    the greedy solution. This is the paper's literal formulation: the
+//    differential oracle for extract_engine (extract/engine/engine.h, the
+//    production extractor) and the subject of the Table-5 ablation.
 #pragma once
 
 #include <optional>
@@ -69,24 +71,16 @@ struct IlpExtractOptions {
   /// Integer-valued t_m (the paper's ablation) instead of real-valued.
   bool integer_topo_vars = false;
   double time_limit_s = 10.0;
-  /// Seed the MILP with the greedy solution as incumbent.
-  bool warm_start_with_greedy = true;
-  /// Refuse instances with more e-nodes than this (the dense-tableau LP
-  /// would exhaust memory); reported as timed_out, mirroring the paper's
-  /// ">1 hour" entries. The decomposing engine applies its own per-core cap
-  /// (ExtractEngineOptions::max_core_nodes) instead.
+  /// extract_ilp refuses instances with more decision variables than this,
+  /// reported as too_large + timed_out: the stand-in for the paper's
+  /// ">1 hour" SCIP entries, where one monolithic ILP over the whole
+  /// reachable sub-e-graph is too large to solve. The engine ignores it and
+  /// caps each residual core instead (ExtractEngineOptions::max_core_nodes).
   size_t max_instance_nodes = 2600;
   /// Relative MIP gap handed to the branch & bound: an incumbent within
   /// rel_gap * |incumbent| of the proven bound is reported optimal. Tests
   /// that pin exact engine-vs-monolithic cost parity set this to 0.
   double rel_gap = 1e-3;
-  /// Per-node LPs through the sparse revised simplex (LpOptions::sparse);
-  /// false = the dense tableau, the differential baseline.
-  bool sparse_lp = true;
-  /// Child B&B nodes re-solve from the parent's basis
-  /// (MilpOptions::warm_start_basis); false = every node cold, the
-  /// warm-vs-cold baseline.
-  bool warm_start_basis = true;
 };
 
 struct IlpExtractionResult : ExtractionResult {

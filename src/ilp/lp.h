@@ -1,5 +1,5 @@
-// Linear program container shared by the simplex and branch-and-bound
-// solvers. Minimization form:
+// Linear program container shared by the sparse simplex and the
+// branch-and-bound solver. Minimization form:
 //
 //     minimize    c . x
 //     subject to  lo_r <= a_r . x <= hi_r     for every row r
@@ -64,24 +64,15 @@ struct LpResult {
   double objective{0.0};
   std::vector<double> x;
   int iterations{0};
-  /// Basis rebuilds (sparse path only; the dense tableau never factorizes).
+  /// Basis rebuilds across the solve.
   int refactorizations{0};
   /// True when the solve ran from a supplied warm basis without falling
-  /// back to a cold start (sparse path only).
+  /// back to a cold start.
   bool warm{false};
 };
 
-struct LpOptions {
-  int max_iterations = 500000;
-  double tol = 1e-7;
-  /// Sparse revised simplex (CSC columns + eta-file basis, ilp/sparse.h).
-  /// false = the original dense tableau, kept as the differential baseline.
-  bool sparse = true;
-};
-
-/// Solves the LP with a bounded-variable two-phase primal simplex: the
-/// sparse revised implementation by default, the dense tableau when
-/// options.sparse is false.
-LpResult solve_lp(const LinearProgram& lp, const LpOptions& options = {});
+/// Solves the LP from scratch with the bounded-variable two-phase sparse
+/// revised simplex (ilp/sparse.h).
+LpResult solve_lp(const LinearProgram& lp);
 
 }  // namespace tensat

@@ -13,6 +13,10 @@
 namespace tensat {
 namespace {
 
+constexpr double kIntTol = 1e-6;  // integrality tolerance
+constexpr double kGapTol = 1e-9;  // prune nodes within this of the incumbent
+constexpr int kMaxCutRounds = 200;
+
 /// One open subproblem: variable-bound overrides relative to the root LP,
 /// plus the parent's LP bound for best-first ordering. `warm` is the
 /// parent's optimal basis (shared by both children): the child LP differs
@@ -87,15 +91,14 @@ struct Pseudocost {
 /// of its dichotomy move the bound, which is what shrinks the tree.
 int pick_branch_var(const std::vector<double>& x, const std::vector<bool>& mask,
                     const std::vector<double>& objective,
-                    const std::vector<double>& weight, const Pseudocost& pc,
-                    double int_tol) {
+                    const std::vector<double>& weight, const Pseudocost& pc) {
   int best = -1;
   double best_score = 0.0;
   for (size_t j = 0; j < x.size(); ++j) {
     if (!mask[j]) continue;
     const double frac_down = x[j] - std::floor(x[j]);
     const double frac_up = std::ceil(x[j]) - x[j];
-    if (std::min(frac_down, frac_up) <= int_tol) continue;
+    if (std::min(frac_down, frac_up) <= kIntTol) continue;
     const double w =
         j < weight.size() ? weight[j] : 1.0 + std::abs(objective[j]);
     const int jj = static_cast<int>(j);
@@ -129,42 +132,29 @@ MilpResult solve_milp(const LinearProgram& lp_in, const std::vector<bool>& integ
   // Repeatedly solve the relaxation and append the generator's violated
   // rows. The rows are valid for every integer point (the generator's
   // contract), so the whole tree — and the reported best_bound — stays a
-  // certificate for the original problem. Sparse rounds warm-start from the
+  // certificate for the original problem. Each round warm-starts from the
   // previous optimal basis extended with the new rows' slacks: appended
   // rows keep every existing column index, the new slacks are basic (still
   // dual feasible), and the dual simplex repairs their bound violations.
+  // An empty cut_warm means a cold start.
   LinearProgram augmented;
   std::shared_ptr<const SparseBasis> root_warm;
   if (options.cut_generator) {
     augmented = lp_in;
-    LpOptions cut_lp_opt;
-    cut_lp_opt.sparse = options.sparse;
+    // Cross-solve seed: round 0 solves the original formulation, exactly
+    // what the exported root_basis was recorded against. load_warm rejects
+    // a dimension mismatch and falls back cold, so a stale seed costs
+    // nothing.
     SparseBasis cut_warm;
-    bool have_warm = false;
-    if (options.sparse && options.warm_start_basis && options.seed_basis &&
-        !options.seed_basis->empty()) {
-      // Cross-solve seed: round 0 solves the original formulation, exactly
-      // what the exported root_basis was recorded against. load_warm
-      // rejects a dimension mismatch and falls back cold, so a stale seed
-      // costs nothing.
-      cut_warm = *options.seed_basis;
-      have_warm = true;
-    }
+    if (options.seed_basis) cut_warm = *options.seed_basis;
     double stall_ref = -kInf;  // objective at the last "real" improvement
     int stalled = 0;
-    for (int round = 0; round < options.max_cut_rounds; ++round) {
+    for (int round = 0; round < kMaxCutRounds; ++round) {
       if (timer.seconds() > 0.3 * options.time_limit_s) break;
-      LpResult root;
       SparseBasis basis_now;
-      if (options.sparse) {
-        SparseLpSolver solver(augmented);
-        root = solver.solve(
-            cut_lp_opt, augmented.lower, augmented.upper,
-            have_warm && options.warm_start_basis ? &cut_warm : nullptr,
-            &basis_now);
-      } else {
-        root = solve_lp(augmented, cut_lp_opt);
-      }
+      SparseLpSolver solver(augmented);
+      const LpResult root = solver.solve(augmented.lower, augmented.upper,
+                                         &cut_warm, &basis_now);
       result.lp_iterations += root.iterations;
       result.refactorizations += root.refactorizations;
       if (root.warm) ++result.warm_start_hits;
@@ -201,16 +191,13 @@ MilpResult solve_milp(const LinearProgram& lp_in, const std::vector<bool>& integ
         if (!(row.lo == -kInf && row.hi == kInf)) ++added;
         ++result.cuts;
       }
-      if (options.sparse && !basis_now.empty()) {
+      if (!basis_now.empty()) {
         cut_warm = std::move(basis_now);
         for (size_t i = 0; i < added; ++i) {
           cut_warm.basic.push_back(static_cast<int32_t>(
               augmented.num_vars() + bounded_before + i));
           cut_warm.at_upper.push_back(0);
         }
-        have_warm = true;
-      } else {
-        have_warm = false;
       }
     }
   }
@@ -225,7 +212,7 @@ MilpResult solve_milp(const LinearProgram& lp_in, const std::vector<bool>& integ
   double incumbent = warm_start ? result.objective : kInf;
   // Effective pruning cutoff: absolute or relative gap, whichever is looser.
   auto cutoff = [&] {
-    return incumbent - std::max(options.gap_tol, options.rel_gap * std::abs(incumbent));
+    return incumbent - std::max(kGapTol, options.rel_gap * std::abs(incumbent));
   };
 
   std::priority_queue<Node, std::vector<Node>, NodeOrder> open;
@@ -234,8 +221,7 @@ MilpResult solve_milp(const LinearProgram& lp_in, const std::vector<bool>& integ
   Node root_node;
   root_node.warm = std::move(root_warm);  // cut-clean basis, if any
   if (root_node.warm == nullptr && !options.cut_generator &&
-      options.sparse && options.warm_start_basis && options.seed_basis &&
-      !options.seed_basis->empty()) {
+      options.seed_basis && !options.seed_basis->empty()) {
     // No cut loop ran: the B&B root solves the original formulation
     // directly, so the cross-solve seed applies to it.
     root_node.warm = options.seed_basis;
@@ -246,32 +232,14 @@ MilpResult solve_milp(const LinearProgram& lp_in, const std::vector<bool>& integ
   bool gap_stop = false;
   bool exhausted = true;
 
-  // Node LPs: the persistent sparse solver shares the CSC/normalization
-  // across the whole tree (nodes differ only in bounds); the dense tableau
-  // baseline re-solves from scratch, exactly as before.
-  LinearProgram work = lp;  // dense path: bounds mutated per node
+  // Node LPs: one persistent sparse solver shares the CSC/normalization
+  // across the whole tree (nodes differ only in bounds).
   std::vector<double> node_lo = lp.lower;
   std::vector<double> node_hi = lp.upper;
-  std::optional<SparseLpSolver> sparse_solver;
-  if (options.sparse) sparse_solver.emplace(lp);
-  LpOptions lp_opt;
-  lp_opt.sparse = options.sparse;
+  SparseLpSolver node_solver(lp);
   auto solve_node = [&](const SparseBasis* warm,
                         SparseBasis* basis_out) -> LpResult {
-    LpResult r;
-    if (sparse_solver) {
-      r = sparse_solver->solve(lp_opt, node_lo, node_hi,
-                               options.warm_start_basis ? warm : nullptr,
-                               basis_out);
-    } else {
-      work.lower = node_lo;
-      work.upper = node_hi;
-      r = solve_lp(work, lp_opt);
-      if (basis_out != nullptr) {
-        basis_out->basic.clear();
-        basis_out->at_upper.clear();
-      }
-    }
+    const LpResult r = node_solver.solve(node_lo, node_hi, warm, basis_out);
     result.lp_iterations += r.iterations;
     result.refactorizations += r.refactorizations;
     if (r.warm) ++result.warm_start_hits;
@@ -303,7 +271,7 @@ MilpResult solve_milp(const LinearProgram& lp_in, const std::vector<bool>& integ
       for (size_t j = 0; j < x.size(); ++j) {
         if (!integer_mask[j]) continue;
         const double frac = std::abs(x[j] - std::round(x[j]));
-        if (frac <= options.int_tol) continue;
+        if (frac <= kIntTol) continue;
         if (frac < 0.05) {
           fix(static_cast<int>(j), std::round(x[j]));
         } else if (frac < best_frac) {
@@ -410,7 +378,7 @@ MilpResult solve_milp(const LinearProgram& lp_in, const std::vector<bool>& integ
 
     const int branch_var =
         pick_branch_var(relax.x, integer_mask, lp.objective,
-                        options.branch_weight, pseudocost, options.int_tol);
+                        options.branch_weight, pseudocost);
 
     // Diving heuristic at the root and periodically afterwards (a dive costs
     // tens of LP solves, so not at every node).
@@ -427,7 +395,7 @@ MilpResult solve_milp(const LinearProgram& lp_in, const std::vector<bool>& integ
         bool integral_ok = candidate->size() == static_cast<size_t>(lp.num_vars());
         for (size_t j = 0; integral_ok && j < candidate->size(); ++j) {
           if (integer_mask[j] &&
-              std::abs((*candidate)[j] - std::round((*candidate)[j])) > options.int_tol)
+              std::abs((*candidate)[j] - std::round((*candidate)[j])) > kIntTol)
             integral_ok = false;
         }
         if (integral_ok && lp.feasible(*candidate, 1e-6)) {
@@ -456,8 +424,7 @@ MilpResult solve_milp(const LinearProgram& lp_in, const std::vector<bool>& integ
 
     // Branch: x_j <= floor(v)  |  x_j >= ceil(v). Both children share this
     // node's optimal basis for their warm start; when this node produced no
-    // basis (dense path, or an artifact-carrying optimum), they inherit the
-    // ancestor's — any basis optimal for the same rows and objective stays
+    // basis (an artificial-carrying optimum), they inherit the ancestor's — any basis optimal for the same rows and objective stays
     // dual feasible under arbitrary bound changes.
     std::shared_ptr<const SparseBasis> child_warm =
         node_basis.empty()

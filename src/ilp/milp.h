@@ -1,5 +1,6 @@
 // Mixed-integer linear programming by branch & bound over the LP relaxation
-// (ilp/lp.h's simplex). Stands in for SCIP in the paper's extraction phase.
+// (ilp/sparse.h's warm-started revised simplex). Stands in for SCIP in the
+// paper's extraction phase.
 //
 // Features used by extraction: binary selection variables x_i, optional
 // continuous or integer topological-order variables t_m (paper §5.1
@@ -42,9 +43,6 @@ enum class MilpStatus {
 struct MilpOptions {
   double time_limit_s = 60.0;
   int max_nodes = 2000000;
-  double int_tol = 1e-6;
-  /// Prune nodes whose bound is within this of the incumbent.
-  double gap_tol = 1e-9;
   /// Relative MIP gap: stop when the bound is within rel_gap * |incumbent|.
   /// The incumbent is then reported optimal (within tolerance), as MILP
   /// solvers conventionally do.
@@ -54,29 +52,17 @@ struct MilpOptions {
   /// integrality) before being accepted as incumbents. Optional.
   std::function<std::optional<std::vector<double>>(const std::vector<double>&)>
       rounding;
-  /// Per-node LPs through the persistent sparse revised simplex (one
-  /// SparseLpSolver per solve_milp call — the CSC and normalization are
-  /// shared by every node, only bounds differ). false = the dense tableau,
-  /// from scratch at every node: the differential baseline.
-  bool sparse = true;
-  /// Child nodes re-solve from the parent's optimal basis (dual simplex
-  /// restoration after the branch bound flip). Only meaningful with
-  /// `sparse`; false forces every node cold — the warm-vs-cold baseline.
-  bool warm_start_basis = true;
   /// Problem-specific cutting planes, separated at the root ("cut &
   /// branch"): given a fractional root LP solution, returns rows VALID FOR
   /// EVERY integer-feasible point (never just for the current relaxation),
   /// so the strengthened bound stays a certificate for the original
   /// problem. Rounds repeat — re-solve, separate, append — until the
-  /// generator returns nothing, the bound stalls for five rounds,
-  /// max_cut_rounds is hit, or 30% of the time budget is gone. On the
-  /// sparse path each round warm-starts from the
-  /// previous basis extended with the new rows' slacks (basic, so still
-  /// dual feasible); the dense baseline re-solves cold, and both paths see
-  /// the identical cut sequence — the LP-path differential stays exact.
+  /// generator returns nothing, the bound stalls for five rounds, 200
+  /// rounds have run, or 30% of the time budget is gone. Each round
+  /// warm-starts from the previous basis extended with the new rows'
+  /// slacks (basic, so still dual feasible).
   std::function<std::vector<LinearProgram::Row>(const std::vector<double>&)>
       cut_generator;
-  int max_cut_rounds = 200;
   /// Per-variable branching score weight: candidates are ranked by
   /// fractionality * weight, where weight defaults to 1 + |objective|.
   /// Lets zero-objective auxiliary variables carry the stakes they stand
@@ -90,11 +76,10 @@ struct MilpOptions {
   /// and objective; variable bounds may differ, exactly the guarantee
   /// SparseBasis documents. Seeds the first root LP (the first cut round
   /// when a cut_generator is set, the B&B root otherwise) in place of a cold
-  /// two-phase start. Ignored on the dense path, when warm_start_basis is
-  /// off, or when the snapshot's dimensions don't match. Like every warm
-  /// basis here, numerical trouble falls back to a cold start — seeding can
-  /// only change speed and tie-breaking among equally-optimal solutions,
-  /// never the certified objective.
+  /// two-phase start. Ignored when the snapshot's dimensions don't match.
+  /// Like every warm basis here, numerical trouble falls back to a cold
+  /// start — seeding can only change speed and tie-breaking among
+  /// equally-optimal solutions, never the certified objective.
   std::shared_ptr<const SparseBasis> seed_basis;
   /// Cross-solve pseudocost seed from a previous solve of the same
   /// formulation. Ignored when the sizes don't match lp.num_vars().
@@ -115,7 +100,7 @@ struct MilpResult {
   int lp_iterations{0};
   /// LP solves that reused a parent/previous basis without a cold restart.
   int warm_start_hits{0};
-  /// Basis refactorizations across all node LPs (sparse path only).
+  /// Basis refactorizations across all node LPs.
   int refactorizations{0};
   /// Cutting planes added by the root cut loop (cut_generator).
   int cuts{0};
@@ -123,8 +108,8 @@ struct MilpResult {
   bool timed_out{false};
   /// Basis of the ORIGINAL formulation's root relaxation (captured before
   /// any cuts are appended, so it stays valid as a seed_basis for a later
-  /// solve of the same rows + objective). Null on the dense path or when the
-  /// root solve produced no reusable basis.
+  /// solve of the same rows + objective). Null when the root solve produced
+  /// no reusable basis.
   std::shared_ptr<const SparseBasis> root_basis;
   /// Pseudocost totals at the end of the search, reusable as
   /// seed_pseudocost on a later solve of the same formulation.

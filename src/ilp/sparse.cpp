@@ -1,17 +1,19 @@
-// Sparse bounded-variable revised simplex (see sparse.h for the contract).
+// Sparse bounded-variable revised simplex (see sparse.h for the contract),
+// plus the LinearProgram helpers and the solve_lp front door (lp.h).
 //
-// Internal standard form matches the dense tableau in simplex.cpp exactly:
-// every input row `lo <= a.x <= hi` becomes `a.x + s = rhs` with slack
-// bounds encoding the range, rows with only a lower bound negated so the
-// slack is always +1. Cold starts use the same ±1 artificials and two-phase
-// scheme; pricing is the same Dantzig-with-Bland-fallback rule, so the two
-// solvers walk comparable paths and agree on every status.
+// Internal standard form matches the dense tableau oracle in
+// tests/dense_simplex.h exactly: every input row `lo <= a.x <= hi` becomes
+// `a.x + s = rhs` with slack bounds encoding the range, rows with only a
+// lower bound negated so the slack is always +1. Cold starts use the same
+// ±1 artificials and two-phase scheme; pricing is the same
+// Dantzig-with-Bland-fallback rule, so the two solvers walk comparable paths
+// and agree on every status (tests/simplex_test.cpp).
 //
 // What differs is the linear algebra: columns live in CSC (slacks implicit),
 // B^{-1} is an eta file updated per pivot and rebuilt from scratch every so
 // often, and reduced costs are recomputed each iteration from y = B^{-T}c_B
 // against the sparse columns — cheap because extraction matrices are >95%
-// sparse, where the dense tableau pays m * n_total per pivot regardless.
+// sparse, where a dense tableau pays m * n_total per pivot regardless.
 #include "ilp/sparse.h"
 
 #include <algorithm>
@@ -20,10 +22,29 @@
 #include "support/check.h"
 
 namespace tensat {
+
+bool LinearProgram::feasible(const std::vector<double>& x, double tol) const {
+  for (int j = 0; j < num_vars(); ++j)
+    if (x[j] < lower[j] - tol || x[j] > upper[j] + tol) return false;
+  for (const Row& r : rows) {
+    const double v = row_value(r, x);
+    if (v < r.lo - tol || v > r.hi + tol) return false;
+  }
+  return true;
+}
+
+double LinearProgram::objective_value(const std::vector<double>& x) const {
+  double v = 0.0;
+  for (int j = 0; j < num_vars(); ++j) v += objective[j] * x[j];
+  return v;
+}
+
 namespace {
 
 enum class VStat : uint8_t { kBasic, kAtLower, kAtUpper };
 
+constexpr int kMaxIterations = 500000;  // per solve, all phases together
+constexpr double kOptTol = 1e-7;     // reduced-cost optimality tolerance
 constexpr double kPivotTol = 1e-9;   // basis factorization / pivot floor
 constexpr double kPrimalFeasTol = 1e-9;  // dual simplex: bound violation floor
 constexpr double kEtaDropTol = 1e-13;    // eta entries below this are noise
@@ -33,7 +54,7 @@ constexpr double kEtaDropTol = 1e-13;    // eta entries below this are noise
 SparseLpSolver::SparseLpSolver(const LinearProgram& lp) {
   n_ = lp.num_vars();
   obj_ = lp.objective;
-  // Normalize rows exactly as the dense tableau does.
+  // Normalize rows: a.x + s = rhs, slack bounds encode the range.
   std::vector<std::vector<std::pair<int32_t, double>>> cols(n_);
   for (const auto& r : lp.rows) {
     if (r.lo == -kInf && r.hi == kInf) continue;
@@ -44,8 +65,7 @@ SparseLpSolver::SparseLpSolver(const LinearProgram& lp) {
     for (const auto& [j, c] : r.terms) cols[j].emplace_back(i, sign * c);
   }
   m_ = static_cast<int>(rhs_.size());
-  // CSC, duplicate (row, col) entries coalesced the way the dense tableau
-  // accumulates them (t[j] += c).
+  // CSC, duplicate (row, col) entries coalesced (summed).
   col_start_.assign(n_ + 1, 0);
   for (int j = 0; j < n_; ++j) {
     auto& cv = cols[j];
@@ -78,10 +98,9 @@ SparseLpSolver::SparseLpSolver(const LinearProgram& lp) {
 /// exactly that basis.
 class SparseSolveContext {
  public:
-  SparseSolveContext(const SparseLpSolver& s, const LpOptions& opt,
-                     const std::vector<double>& lo,
+  SparseSolveContext(const SparseLpSolver& s, const std::vector<double>& lo,
                      const std::vector<double>& hi)
-      : s_(s), opt_(opt), n_(s.n_), m_(s.m_), nt_(s.n_ + s.m_) {
+      : s_(s), n_(s.n_), m_(s.m_), nt_(s.n_ + s.m_) {
     lower_.assign(nt_, 0.0);
     upper_.assign(nt_, 0.0);
     set_bounds(lo, hi);
@@ -98,12 +117,10 @@ class SparseSolveContext {
   }
 
   /// Re-arms the context for the next solve on the same rows/objective:
-  /// new bounds and options, artificials of the previous solve dropped,
-  /// per-solve counters reset. The basis and eta file survive untouched —
-  /// load_warm's fast path decides whether they can actually be reused.
-  void rebind(const LpOptions& opt, const std::vector<double>& lo,
-              const std::vector<double>& hi) {
-    opt_ = opt;
+  /// new bounds, artificials of the previous solve dropped, per-solve
+  /// counters reset. The basis and eta file survive untouched — load_warm's
+  /// fast path decides whether they can actually be reused.
+  void rebind(const std::vector<double>& lo, const std::vector<double>& hi) {
     nt_ = n_ + m_;
     num_artificial_ = 0;
     art_row_.clear();
@@ -401,7 +418,7 @@ class SparseSolveContext {
   }
 
   // ---- Cold start --------------------------------------------------------
-  // Same construction as the dense tableau: all-slack basis; rows whose
+  // Same construction as the dense tableau oracle: all-slack basis; rows whose
   // initial slack value violates the slack bounds get a ±1 artificial, the
   // slack parked at its nearest bound.
 
@@ -500,7 +517,7 @@ class SparseSolveContext {
   }
 
   // ---- Primal simplex ----------------------------------------------------
-  // Same pricing and ratio test as the dense tableau; reduced costs are
+  // Same pricing and ratio test as the dense tableau oracle; reduced costs are
   // recomputed from y = B^{-T} c_B against the sparse columns instead of
   // being carried in a tableau row.
 
@@ -508,7 +525,7 @@ class SparseSolveContext {
     int degenerate_run = 0;
     int numeric_retries = 0;
     while (true) {
-      if (++*iterations > opt_.max_iterations) return LpStatus::kIterLimit;
+      if (++*iterations > kMaxIterations) return LpStatus::kIterLimit;
       if (eta_file_large() && !refactor_and_recompute())
         return LpStatus::kIterLimit;
       for (int i = 0; i < m_; ++i) y_[i] = cost[basis_[i]];
@@ -517,7 +534,7 @@ class SparseSolveContext {
 
       // ---- Pricing: pick an entering variable ----
       int q = -1;
-      double best = -opt_.tol;
+      double best = -kOptTol;
       int dir = 0;  // +1 entering increases, -1 decreases
       for (int j = 0; j < nt_; ++j) {
         if (basic_pos_[j] >= 0) continue;
@@ -526,10 +543,10 @@ class SparseSolveContext {
         for_col(j, [&](int32_t i, double c) { rj -= y_[i] * c; });
         double score = 0.0;
         int d = 0;
-        if (stat_[j] == VStat::kAtLower && rj < -opt_.tol) {
+        if (stat_[j] == VStat::kAtLower && rj < -kOptTol) {
           score = rj;
           d = +1;
-        } else if (stat_[j] == VStat::kAtUpper && rj > opt_.tol) {
+        } else if (stat_[j] == VStat::kAtUpper && rj > kOptTol) {
           score = -rj;
           d = -1;
         } else {
@@ -548,7 +565,7 @@ class SparseSolveContext {
       }
       if (q < 0) return LpStatus::kOptimal;
 
-      // ---- Ratio test (identical to the dense tableau's) ----
+      // ---- Ratio test (identical to the dense tableau oracle's) ----
       load_col(q, work_);
       ftran(work_);
       double limit = upper_[q] - lower_[q];  // bound-flip distance
@@ -623,7 +640,7 @@ class SparseSolveContext {
     int numeric_retries = 0;
     const int max_dual = 4 * (m_ + nt_) + 1000;
     while (true) {
-      if (++*iterations > opt_.max_iterations) return LpStatus::kIterLimit;
+      if (++*iterations > kMaxIterations) return LpStatus::kIterLimit;
       if (++guard > max_dual) return LpStatus::kIterLimit;
       if (eta_file_large() && !refactor_and_recompute())
         return LpStatus::kIterLimit;
@@ -704,7 +721,6 @@ class SparseSolveContext {
   }
 
   const SparseLpSolver& s_;
-  LpOptions opt_;
   int n_, m_, nt_;
   int num_artificial_{0};
   int refactorizations_{0};
@@ -727,8 +743,7 @@ class SparseSolveContext {
   std::vector<double> work_, y_, rho_;
 };
 
-LpResult SparseLpSolver::solve(const LpOptions& opt,
-                               const std::vector<double>& lower,
+LpResult SparseLpSolver::solve(const std::vector<double>& lower,
                                const std::vector<double>& upper,
                                const SparseBasis* warm,
                                SparseBasis* basis_out) {
@@ -736,12 +751,17 @@ LpResult SparseLpSolver::solve(const LpOptions& opt,
                    static_cast<int>(upper.size()) == n_,
                "bound vector size mismatch");
   if (ctx_ == nullptr)
-    ctx_ = std::make_unique<SparseSolveContext>(*this, opt, lower, upper);
+    ctx_ = std::make_unique<SparseSolveContext>(*this, lower, upper);
   else
-    ctx_->rebind(opt, lower, upper);
+    ctx_->rebind(lower, upper);
   return ctx_->run(warm, basis_out);
 }
 
 SparseLpSolver::~SparseLpSolver() = default;
+
+LpResult solve_lp(const LinearProgram& lp) {
+  SparseLpSolver solver(lp);
+  return solver.solve(lp.lower, lp.upper);
+}
 
 }  // namespace tensat

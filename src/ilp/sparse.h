@@ -42,8 +42,7 @@ struct SparseBasis {
 class SparseLpSolver {
  public:
   /// Captures rows and objective; lp's bounds are NOT captured (they are
-  /// passed to every solve). Free variables are rejected, as in the dense
-  /// path.
+  /// passed to every solve). Free variables are rejected.
   explicit SparseLpSolver(const LinearProgram& lp);
   ~SparseLpSolver();
   // Non-copyable and non-movable: the live solve context keeps a reference
@@ -62,7 +61,7 @@ class SparseLpSolver {
   /// basis the previous solve on this object ended with (sibling B&B nodes,
   /// successive dive steps), the eta file is reused and the rebuild is
   /// skipped entirely — the dominant per-node cost in a warm-started tree.
-  LpResult solve(const LpOptions& opt, const std::vector<double>& lower,
+  LpResult solve(const std::vector<double>& lower,
                  const std::vector<double>& upper,
                  const SparseBasis* warm = nullptr,
                  SparseBasis* basis_out = nullptr);

@@ -7,7 +7,7 @@
 // exploit — attention Q/K/V matmuls sharing an input (Fig. 8), NasRNN's
 // matmul farms (Fig. 11), inception/fire modules with parallel convolutions
 // sharing an input (Figs. 9-10), grouped-convolution bottlenecks — at sizes
-// our dense-tableau MILP extraction can handle.
+// our bundled MILP extraction can handle.
 //
 // Every builder takes explicit size parameters; `paper_models()` returns the
 // benchmark-scale presets and `tiny_models()` unit-test-scale ones.

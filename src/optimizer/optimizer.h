@@ -34,10 +34,10 @@ struct TensatOptions {
   double explore_time_limit_s = 30.0;
   CycleFilterMode cycle_filter = CycleFilterMode::kEfficient;
   ExtractorKind extractor = ExtractorKind::kIlp;
-  /// ILP extraction knobs. The engine's staged pipeline (reductions + SCC
-  /// decomposition + per-core solves, extract/engine/engine.h) is the
-  /// default; `ilp.decompose = false` selects the monolithic one-shot ILP,
-  /// the differential baseline. All IlpExtractOptions fields apply to both.
+  /// ILP extraction knobs. ILP extraction always runs the engine's staged
+  /// pipeline (reductions + SCC decomposition + per-core warm-started
+  /// solves, extract/engine/engine.h); the monolithic extract_ilp is a
+  /// test oracle, not a mode.
   ExtractEngineOptions ilp;
   /// Rule scheduling (egg's BackoffScheduler): per-rule per-iteration match
   /// budgets with temporary bans for rules that blow them. Replaces the old
@@ -213,8 +213,8 @@ struct TensatResult {
   double extract_seconds{0.0};
   /// Per-phase extraction breakdown (reach/reduce/lp-build/solve/stitch plus
   /// reduction and core counters), the extraction analog of ExploreStats'
-  /// search/apply/rebuild split. Filled for ILP extraction (both the engine
-  /// and the monolithic path); zero for greedy extraction.
+  /// search/apply/rebuild split. Filled for ILP extraction; zero for greedy
+  /// extraction.
   ExtractStats extract_stats;
   EngineExtractionResult ilp;  // populated when extractor == kIlp
 };

@@ -1,45 +1,37 @@
-// Bounded-variable two-phase primal simplex with a dense tableau.
+// Dense bounded-variable two-phase primal simplex, the independent LP oracle
+// for the sparse revised simplex (src/ilp/sparse.h). It shares the sparse
+// solver's standard form, artificials and pricing rule, but none of its
+// linear algebra (no factorization, no eta file, no warm starts), so
+// agreement between the two is evidence about the sparse solver's numerics.
 //
 // Internal standard form: every input row `lo <= a.x <= hi` becomes
 // `a.x + s = rhs` with a slack variable s whose bounds encode the range
-// (see normalize()). Rows whose initial slack value violates the slack
+// (see build()). Rows whose initial slack value violates the slack
 // bounds get a +/-1 artificial variable; phase 1 minimizes the sum of
 // artificials, phase 2 the true objective with artificials pinned to zero.
 //
 // Anti-cycling: Dantzig pricing normally, switching to Bland's rule after a
 // run of degenerate pivots.
+#pragma once
+
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "ilp/lp.h"
-#include "ilp/sparse.h"
 #include "support/check.h"
 
-namespace tensat {
+namespace tensat::dense_oracle {
 
-bool LinearProgram::feasible(const std::vector<double>& x, double tol) const {
-  for (int j = 0; j < num_vars(); ++j)
-    if (x[j] < lower[j] - tol || x[j] > upper[j] + tol) return false;
-  for (const Row& r : rows) {
-    const double v = row_value(r, x);
-    if (v < r.lo - tol || v > r.hi + tol) return false;
-  }
-  return true;
-}
-
-double LinearProgram::objective_value(const std::vector<double>& x) const {
-  double v = 0.0;
-  for (int j = 0; j < num_vars(); ++j) v += objective[j] * x[j];
-  return v;
-}
-
-namespace {
+inline constexpr int kMaxIterations = 500000;
+inline constexpr double kTol = 1e-7;
 
 enum class VStat : uint8_t { kBasic, kAtLower, kAtUpper };
 
 class Simplex {
  public:
-  Simplex(const LinearProgram& lp, const LpOptions& opt) : opt_(opt) { build(lp); }
+  explicit Simplex(const LinearProgram& lp) { build(lp); }
 
   LpResult run(const LinearProgram& lp) {
     LpResult result;
@@ -212,22 +204,22 @@ class Simplex {
 
     int degenerate_run = 0;
     while (true) {
-      if (++*iterations > opt_.max_iterations) return LpStatus::kIterLimit;
+      if (++*iterations > kMaxIterations) return LpStatus::kIterLimit;
       const bool bland = degenerate_run > 2 * (m_ + nt_);
 
       // ---- Pricing: pick an entering variable ----
       int q = -1;
-      double best = -opt_.tol;
+      double best = -kTol;
       int dir = 0;  // +1 entering increases, -1 decreases
       for (int j = 0; j < nt_; ++j) {
         if (in_basis[j]) continue;
         if (lower_[j] == upper_[j]) continue;  // fixed
         double score = 0.0;
         int d = 0;
-        if (stat_[j] == VStat::kAtLower && r[j] < -opt_.tol) {
+        if (stat_[j] == VStat::kAtLower && r[j] < -kTol) {
           score = r[j];
           d = +1;
-        } else if (stat_[j] == VStat::kAtUpper && r[j] > opt_.tol) {
+        } else if (stat_[j] == VStat::kAtUpper && r[j] > kTol) {
           score = -r[j];
           d = -1;
         } else {
@@ -322,7 +314,6 @@ class Simplex {
     }
   }
 
-  LpOptions opt_;
   int n_{0};              // structural variables
   int m_{0};              // rows
   int nt_{0};             // total columns
@@ -334,15 +325,10 @@ class Simplex {
   std::vector<VStat> stat_;
 };
 
-}  // namespace
-
-LpResult solve_lp(const LinearProgram& lp, const LpOptions& options) {
-  if (options.sparse) {
-    SparseLpSolver solver(lp);
-    return solver.solve(options, lp.lower, lp.upper);
-  }
-  Simplex solver(lp, options);
+/// Solves `lp` from scratch with the dense tableau.
+inline LpResult solve_lp_dense(const LinearProgram& lp) {
+  Simplex solver(lp);
   return solver.run(lp);
 }
 
-}  // namespace tensat
+}  // namespace tensat::dense_oracle

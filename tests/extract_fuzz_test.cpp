@@ -152,66 +152,6 @@ TEST(ExtractFuzz, CyclicWithConstraintsParity) {
   }
 }
 
-// Differential: the sparse revised simplex vs the dense tableau under the
-// engine at zero MIP gap. Both LP paths must produce the same extraction
-// cost AND the same proven bound — the sparse solver is a perf change, not
-// a semantic one.
-TEST(ExtractFuzz, SparseVsDenseLpParity) {
-  for (uint64_t seed = 1; seed <= 15; ++seed) {
-    Rng rng(seed * 0xd6e8feb86659fd93ull);
-    Graph g = random_graph(rng);
-    EGraph eg = seed_egraph(g);
-    random_merges(eg, rng, static_cast<int>(rng.range(0, 8)));
-    filter_cycles(eg);
-    ExtractEngineOptions opt;
-    opt.rel_gap = 0.0;
-    opt.time_limit_s = 30.0;
-    opt.sparse_lp = true;
-    const EngineExtractionResult sparse = extract_engine(eg, model(), opt);
-    opt.sparse_lp = false;
-    const EngineExtractionResult dense = extract_engine(eg, model(), opt);
-    ASSERT_FALSE(sparse.timed_out) << "seed " << seed;
-    ASSERT_FALSE(dense.timed_out) << "seed " << seed;
-    ASSERT_EQ(sparse.ok, dense.ok) << "seed " << seed;
-    if (!sparse.ok) continue;
-    EXPECT_NEAR(sparse.cost, dense.cost, 1e-6 + 1e-9 * std::abs(dense.cost))
-        << "seed " << seed;
-    EXPECT_NEAR(sparse.best_bound, dense.best_bound,
-                1e-6 + 1e-9 * std::abs(dense.best_bound))
-        << "seed " << seed;
-  }
-}
-
-// Differential: warm-started B&B (children re-solve from the parent basis)
-// vs every node cold. Warm starts may only change speed — at zero gap the
-// incumbent cost and the certified bound must match.
-TEST(ExtractFuzz, WarmVsColdBasisParity) {
-  for (uint64_t seed = 1; seed <= 15; ++seed) {
-    Rng rng(seed * 0xa0761d6478bd642full);
-    Graph g = random_graph(rng);
-    EGraph eg = seed_egraph(g);
-    random_merges(eg, rng, static_cast<int>(rng.range(0, 8)));
-    filter_cycles(eg);
-    ExtractEngineOptions opt;
-    opt.rel_gap = 0.0;
-    opt.time_limit_s = 30.0;
-    opt.warm_start_basis = true;
-    const EngineExtractionResult warm = extract_engine(eg, model(), opt);
-    opt.warm_start_basis = false;
-    const EngineExtractionResult cold = extract_engine(eg, model(), opt);
-    ASSERT_FALSE(warm.timed_out) << "seed " << seed;
-    ASSERT_FALSE(cold.timed_out) << "seed " << seed;
-    ASSERT_EQ(warm.ok, cold.ok) << "seed " << seed;
-    if (!warm.ok) continue;
-    EXPECT_NEAR(warm.cost, cold.cost, 1e-6 + 1e-9 * std::abs(cold.cost))
-        << "seed " << seed;
-    EXPECT_NEAR(warm.best_bound, cold.best_bound,
-                1e-6 + 1e-9 * std::abs(cold.best_bound))
-        << "seed " << seed;
-    EXPECT_EQ(cold.stats.warm_start_hits, 0) << "seed " << seed;
-  }
-}
-
 TEST(ExtractFuzz, IntegerTopoVariantParity) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     Rng rng(seed * 0x94d049bb133111ebull);

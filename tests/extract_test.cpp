@@ -42,7 +42,6 @@ void expect_engine_parity(const EGraph& eg, const CostModel& m,
   ExtractEngineOptions engine_opt;
   static_cast<IlpExtractOptions&>(engine_opt) = base;
   const EngineExtractionResult engine = extract_engine(eg, m, engine_opt);
-  EXPECT_TRUE(engine.decomposed);
   const IlpExtractionResult mono = extract_ilp(eg, m, base);
   EXPECT_EQ(engine.ok, mono.ok);
   if (engine.ok && mono.ok) {
@@ -414,17 +413,6 @@ TEST(ExtractEngine, CyclicSelectionWithoutConstraintsFallsBackToGreedy) {
   EXPECT_GT(engine.graph.topo_order().size(), 0u);  // the fallback is a DAG
 }
 
-TEST(ExtractEngine, CoreTooLargeRefusedWithoutFallback) {
-  EGraph eg = shared_matmul_egraph();
-  ExtractEngineOptions opt;
-  opt.max_core_nodes = 1;
-  opt.lp_fallback = false;  // pre-fallback baseline: refuse outright
-  const EngineExtractionResult r = extract_engine(eg, model(), opt);
-  EXPECT_FALSE(r.ok);
-  EXPECT_TRUE(r.too_large);
-  EXPECT_TRUE(r.timed_out);
-}
-
 TEST(ExtractEngine, OversizedCoreFallsBackToLpRounding) {
   EGraph eg = shared_matmul_egraph();
   ExtractEngineOptions opt;
@@ -442,19 +430,6 @@ TEST(ExtractEngine, OversizedCoreFallsBackToLpRounding) {
   EXPECT_GE(r.cost, r.best_bound - 1e-6);
   EXPECT_GE(r.stats.gap, 0.0);
   EXPECT_LT(r.stats.gap, kInf);
-}
-
-TEST(ExtractEngine, MonolithicDelegationMatchesExtractIlp) {
-  EGraph eg = shared_matmul_egraph();
-  ExtractEngineOptions opt;
-  opt.decompose = false;
-  const EngineExtractionResult via_engine = extract_engine(eg, model(), opt);
-  const IlpExtractionResult direct = extract_ilp(eg, model(), opt);
-  EXPECT_FALSE(via_engine.decomposed);
-  ASSERT_TRUE(via_engine.ok);
-  ASSERT_TRUE(direct.ok);
-  EXPECT_NEAR(via_engine.cost, direct.cost, 1e-9);
-  EXPECT_EQ(via_engine.num_vars, direct.num_vars);
 }
 
 TEST(ExtractEngine, SolvesInstanceMonolithicRejectsAsTooLarge) {
@@ -514,17 +489,19 @@ TEST(ExtractEngine, OptimizerRoutesThroughEngine) {
   options.k_max = 4;
   options.k_multi = 1;
   options.node_limit = 2000;
-  const TensatResult engine_run = optimize(g, default_rules(), model(), options);
-  ASSERT_TRUE(engine_run.ok);
-  EXPECT_TRUE(engine_run.ilp.decomposed);
-  EXPECT_GT(engine_run.extract_stats.classes_reachable, 0u);
+  const TensatResult run = optimize(g, default_rules(), model(), options);
+  ASSERT_TRUE(run.ok);
+  EXPECT_GT(run.extract_stats.classes_reachable, 0u);
 
-  TensatOptions mono_options = options;
-  mono_options.ilp.decompose = false;
-  const TensatResult mono_run = optimize(g, default_rules(), model(), mono_options);
-  ASSERT_TRUE(mono_run.ok);
-  EXPECT_FALSE(mono_run.ilp.decomposed);
-  EXPECT_NEAR(engine_run.optimized_cost, mono_run.optimized_cost, 1e-6);
+  // Exploration is deterministic, so the engine run directly on an
+  // identically explored e-graph must reproduce optimize()'s extraction.
+  EGraph eg = seed_egraph(g);
+  run_exploration(eg, default_rules(), options);
+  const EngineExtractionResult direct = extract_engine(eg, model(), options.ilp);
+  ASSERT_TRUE(direct.ok);
+  EXPECT_NEAR(run.ilp.cost, direct.cost, 1e-9);
+  EXPECT_EQ(run.extract_stats.milp_vars_total, direct.stats.milp_vars_total);
+  EXPECT_EQ(run.extract_stats.num_cores, direct.stats.num_cores);
 }
 
 }  // namespace

@@ -103,7 +103,7 @@ TEST(Integration, TensatAtLeastMatchesTasoOnSharedMatmuls) {
   const TasoResult taso = taso_search(g, default_rules(), model(), taso_opt);
   // Fully merging four matmuls takes two rounds of the multi-pattern rule
   // (pairs, then pairs of pairs) — the paper's k_multi = 2 regime. The node
-  // limit keeps the ILP instance within the dense solver's reach.
+  // limit keeps the ILP instance small.
   TensatOptions opt = quick_options();
   opt.k_multi = 2;
   opt.node_limit = 1500;
@@ -118,7 +118,7 @@ TEST(Integration, FullPipelineKeepsEGraphAcyclicAndExtractsDag) {
   TensatOptions opt = quick_options();
   run_exploration(eg, default_rules(), opt);
   ASSERT_TRUE(is_acyclic(eg));
-  const IlpExtractionResult r = extract_ilp(eg, model(), opt.ilp);
+  const EngineExtractionResult r = extract_engine(eg, model(), opt.ilp);
   ASSERT_TRUE(r.ok);
   EXPECT_FALSE(r.cyclic_selection);
   EXPECT_GT(r.graph.topo_order().size(), 0u);

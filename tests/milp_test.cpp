@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "ilp/milp.h"
@@ -280,7 +281,11 @@ TEST_P(MilpRandomized, MatchesBruteForce) {
     lp.rows.push_back(row);
   }
   const double expected = brute_force(lp);
-  const MilpResult got = solve_milp(lp, std::vector<bool>(n, true));
+  // Exact optima: the default 1e-3 relative gap would let an incumbent
+  // within the gap stand, and the 1e-5 check below asks for more.
+  MilpOptions opt;
+  opt.rel_gap = 0.0;
+  const MilpResult got = solve_milp(lp, std::vector<bool>(n, true), opt);
   if (expected == kInf) {
     EXPECT_EQ(got.status, MilpStatus::kInfeasible) << "seed " << GetParam();
   } else {
@@ -291,6 +296,89 @@ TEST_P(MilpRandomized, MatchesBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MilpRandomized, ::testing::Range(0, 40));
+
+/// An extraction-shaped MILP small enough to enumerate (<= 16 binaries):
+/// classes 0..C-1 with class 0 the root; every class has one expensive leaf
+/// option plus up to three cheap interior options whose 1-3 children are
+/// later classes (so every selection is a DAG and a leaf pick always closes
+/// it). Rows mirror the extraction formulation: root = 1, at most one
+/// option per class, and cover rows aggregated per (parent class, child
+/// class).
+LinearProgram extraction_shaped_milp(Rng& rng) {
+  constexpr int kMaxVars = 16;
+  const int classes = 5 + static_cast<int>(rng.below(2));  // 5..6
+  std::vector<std::vector<int>> class_vars(classes);
+  std::vector<std::vector<std::vector<int>>> option_children(classes);
+  LinearProgram lp;
+  for (int c = 0; c < classes; ++c) {
+    class_vars[c].push_back(lp.add_var(0, 1, rng.uniform(6.0, 12.0)));
+    option_children[c].emplace_back();
+    const int later = classes - 1 - c;
+    // Keep one variable in reserve for each later class's leaf option.
+    const int budget = kMaxVars - lp.num_vars() - later;
+    const int interior =
+        later == 0 ? 0
+                   : std::min(budget, 1 + static_cast<int>(rng.below(3)));
+    for (int k = 0; k < interior; ++k) {
+      class_vars[c].push_back(lp.add_var(0, 1, rng.uniform(0.2, 1.0)));
+      std::vector<int> children;
+      const int want = 1 + static_cast<int>(rng.below(3));
+      for (int t = 0; t < want; ++t) {
+        const int child = c + 1 + static_cast<int>(rng.below(later));
+        if (std::find(children.begin(), children.end(), child) == children.end())
+          children.push_back(child);
+      }
+      option_children[c].push_back(std::move(children));
+    }
+  }
+  std::vector<std::pair<int, double>> root;
+  for (int v : class_vars[0]) root.emplace_back(v, 1.0);
+  lp.add_row(std::move(root), 1.0, 1.0);
+  for (int c = 0; c < classes; ++c) {
+    if (class_vars[c].size() < 2) continue;
+    std::vector<std::pair<int, double>> terms;
+    for (int v : class_vars[c]) terms.emplace_back(v, 1.0);
+    lp.add_row(std::move(terms), -kInf, 1.0);
+  }
+  for (int c = 0; c < classes; ++c) {
+    for (int m = c + 1; m < classes; ++m) {
+      std::vector<std::pair<int, double>> terms;
+      for (size_t k = 0; k < class_vars[c].size(); ++k) {
+        const auto& ch = option_children[c][k];
+        if (std::find(ch.begin(), ch.end(), m) != ch.end())
+          terms.emplace_back(class_vars[c][k], 1.0);
+      }
+      if (terms.empty()) continue;
+      for (int v : class_vars[m]) terms.emplace_back(v, -1.0);
+      lp.add_row(std::move(terms), -kInf, 0.0);
+    }
+  }
+  return lp;
+}
+
+// The warm-started B&B on the shape extraction actually hands it, against
+// exhaustive enumeration at zero gap. The branching count keeps the check
+// honest: an oracle whose instances all solve at the root LP never reaches
+// the warm-start, plunging or pseudocost code.
+TEST(MilpExtractionShaped, MatchesBruteForce) {
+  int branched = 0;
+  for (int seed = 0; seed < 40; ++seed) {
+    Rng rng(5000 + seed);
+    const LinearProgram lp = extraction_shaped_milp(rng);
+    const int n = lp.num_vars();
+    ASSERT_LE(n, 16) << "seed " << seed;
+    const double expected = brute_force(lp);
+    ASSERT_LT(expected, kInf) << "seed " << seed;  // leaves make it feasible
+    MilpOptions opt;
+    opt.rel_gap = 0.0;
+    const MilpResult got = solve_milp(lp, std::vector<bool>(n, true), opt);
+    ASSERT_EQ(got.status, MilpStatus::kOptimal) << "seed " << seed;
+    EXPECT_NEAR(got.objective, expected, 1e-6) << "seed " << seed;
+    EXPECT_TRUE(lp.feasible(got.x, 1e-6)) << "seed " << seed;
+    if (got.nodes_explored > 1) ++branched;
+  }
+  EXPECT_GE(branched, 10);
+}
 
 }  // namespace
 }  // namespace tensat

@@ -1,9 +1,9 @@
-// Differential tests for the two simplex implementations behind solve_lp:
-// the dense bounded-variable tableau (the baseline) and the sparse revised
-// simplex (ilp/sparse.h, the default). Every named scenario — degenerate
-// cycling, range rows with both bounds active, infeasibility, unboundedness
-// — runs against both paths; a randomized sweep pins status and objective
-// parity; the warm-start suite drives SparseLpSolver's basis reuse directly.
+// Differential tests for the sparse revised simplex behind solve_lp
+// (ilp/sparse.h) against the dense bounded-variable tableau oracle
+// (tests/dense_simplex.h). Every named scenario — degenerate cycling, range
+// rows with both bounds active, infeasibility, unboundedness — runs against
+// both solvers; a randomized sweep pins status and objective parity; the
+// warm-start suite drives SparseLpSolver's basis reuse directly.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,16 +13,18 @@
 #include "ilp/lp.h"
 #include "ilp/sparse.h"
 #include "support/rng.h"
+#include "tests/dense_simplex.h"
 
 namespace tensat {
 namespace {
 
+using dense_oracle::solve_lp_dense;
+
+/// Parameter: true = the sparse solver (solve_lp), false = the dense oracle.
 class SimplexPath : public ::testing::TestWithParam<bool> {
  protected:
-  [[nodiscard]] LpOptions opts() const {
-    LpOptions o;
-    o.sparse = GetParam();
-    return o;
+  [[nodiscard]] LpResult solve(const LinearProgram& lp) const {
+    return GetParam() ? solve_lp(lp) : solve_lp_dense(lp);
   }
 };
 
@@ -44,7 +46,7 @@ TEST_P(SimplexPath, BealeCyclingExampleTerminates) {
   lp.add_row({{0, 0.25}, {1, -60.0}, {2, -0.04}, {3, 9.0}}, -kInf, 0.0);
   lp.add_row({{0, 0.5}, {1, -90.0}, {2, -0.02}, {3, 3.0}}, -kInf, 0.0);
   lp.add_row({{2, 1.0}}, -kInf, 1.0);
-  const LpResult r = solve_lp(lp, opts());
+  const LpResult r = solve(lp);
   ASSERT_EQ(r.status, LpStatus::kOptimal);
   EXPECT_NEAR(r.objective, -0.05, 1e-9);
   EXPECT_NEAR(r.x[0], 0.04, 1e-9);
@@ -63,7 +65,7 @@ TEST_P(SimplexPath, HighlyDegenerateVertexTerminates) {
   lp.add_row({{0, 1.0}}, -kInf, 1.0);
   lp.add_row({{1, 1.0}}, -kInf, 1.0);
   lp.add_row({{2, 1.0}}, -kInf, 1.0);
-  const LpResult r = solve_lp(lp, opts());
+  const LpResult r = solve(lp);
   ASSERT_EQ(r.status, LpStatus::kOptimal);
   EXPECT_NEAR(r.objective, -3.0, 1e-9);
 }
@@ -76,13 +78,13 @@ TEST_P(SimplexPath, RangeRowActiveAtEitherBound) {
   lo_side.add_var(0, kInf, 1.0);
   lo_side.add_var(0, 0.5, 0.0);
   lo_side.add_row({{0, 1.0}, {1, 1.0}}, 1.0, 2.0);
-  const LpResult at_lo = solve_lp(lo_side, opts());
+  const LpResult at_lo = solve(lo_side);
   ASSERT_EQ(at_lo.status, LpStatus::kOptimal);
   EXPECT_NEAR(at_lo.objective, 0.5, 1e-9);
 
   LinearProgram hi_side = lo_side;
   hi_side.objective[0] = -1.0;  // maximize x instead
-  const LpResult at_hi = solve_lp(hi_side, opts());
+  const LpResult at_hi = solve(hi_side);
   ASSERT_EQ(at_hi.status, LpStatus::kOptimal);
   EXPECT_NEAR(at_hi.objective, -2.0, 1e-9);
   EXPECT_NEAR(at_hi.x[0] + at_hi.x[1], 2.0, 1e-9);
@@ -97,7 +99,7 @@ TEST_P(SimplexPath, RangeRowsBothBoundsActiveSimultaneously) {
   lp.add_var(0, 1.0, -2.0);
   lp.add_row({{0, 1.0}, {1, 1.0}}, 1.0, 2.0);
   lp.add_row({{0, 1.0}, {1, -1.0}}, 0.0, 1.0);
-  const LpResult r = solve_lp(lp, opts());
+  const LpResult r = solve(lp);
   ASSERT_EQ(r.status, LpStatus::kOptimal);
   EXPECT_NEAR(r.objective, -1.0, 1e-9);
   EXPECT_NEAR(r.x[0], 1.0, 1e-9);
@@ -110,7 +112,7 @@ TEST_P(SimplexPath, InfeasibleRowVsBounds) {
   lp.add_var(0, 1, 1.0);
   lp.add_var(0, 1, 1.0);
   lp.add_row({{0, 1.0}, {1, 1.0}}, 5.0, kInf);
-  EXPECT_EQ(solve_lp(lp, opts()).status, LpStatus::kInfeasible);
+  EXPECT_EQ(solve(lp).status, LpStatus::kInfeasible);
 }
 
 TEST_P(SimplexPath, InfeasibleEqualityPair) {
@@ -119,7 +121,7 @@ TEST_P(SimplexPath, InfeasibleEqualityPair) {
   lp.add_var(0, kInf, 0.0);
   lp.add_row({{0, 1.0}, {1, 1.0}}, 1.0, 1.0);
   lp.add_row({{0, 1.0}, {1, 1.0}}, 2.0, 2.0);
-  EXPECT_EQ(solve_lp(lp, opts()).status, LpStatus::kInfeasible);
+  EXPECT_EQ(solve(lp).status, LpStatus::kInfeasible);
 }
 
 TEST_P(SimplexPath, DetectsUnbounded) {
@@ -128,7 +130,7 @@ TEST_P(SimplexPath, DetectsUnbounded) {
   lp.add_var(0, kInf, -1.0);
   lp.add_var(0, kInf, -1.0);
   lp.add_row({{0, 1.0}, {1, 1.0}}, 1.0, kInf);
-  EXPECT_EQ(solve_lp(lp, opts()).status, LpStatus::kUnbounded);
+  EXPECT_EQ(solve(lp).status, LpStatus::kUnbounded);
 }
 
 TEST_P(SimplexPath, NegativeLowerBounds) {
@@ -138,7 +140,7 @@ TEST_P(SimplexPath, NegativeLowerBounds) {
   lp.add_var(-3, 5, 1.0);
   lp.add_var(-2, 2, 1.0);
   lp.add_row({{0, 1.0}, {1, 1.0}}, -4.0, kInf);
-  const LpResult r = solve_lp(lp, opts());
+  const LpResult r = solve(lp);
   ASSERT_EQ(r.status, LpStatus::kOptimal);
   EXPECT_NEAR(r.objective, -4.0, 1e-9);
 }
@@ -180,12 +182,8 @@ TEST(SimplexDifferential, RandomDenseSparseParity) {
       }
       lp.rows.push_back(row);
     }
-    LpOptions dense_opt;
-    dense_opt.sparse = false;
-    LpOptions sparse_opt;
-    sparse_opt.sparse = true;
-    const LpResult dense = solve_lp(lp, dense_opt);
-    const LpResult sparse = solve_lp(lp, sparse_opt);
+    const LpResult dense = solve_lp_dense(lp);
+    const LpResult sparse = solve_lp(lp);
     ASSERT_EQ(dense.status, sparse.status) << "trial " << trial;
     if (dense.status == LpStatus::kOptimal) {
       EXPECT_NEAR(dense.objective, sparse.objective,
@@ -214,9 +212,8 @@ LinearProgram extraction_shaped_lp() {
 TEST(SparseWarmStart, BoundFlipRestoredByDualSimplex) {
   const LinearProgram lp = extraction_shaped_lp();
   SparseLpSolver solver(lp);
-  const LpOptions opt;
   SparseBasis basis;
-  const LpResult root = solver.solve(opt, lp.lower, lp.upper, nullptr, &basis);
+  const LpResult root = solver.solve(lp.lower, lp.upper, nullptr, &basis);
   ASSERT_EQ(root.status, LpStatus::kOptimal);
   ASSERT_FALSE(basis.empty());
   EXPECT_FALSE(root.warm);
@@ -225,8 +222,8 @@ TEST(SparseWarmStart, BoundFlipRestoredByDualSimplex) {
   std::vector<double> lo = lp.lower;
   std::vector<double> hi = lp.upper;
   hi[0] = 0.0;
-  const LpResult warm = solver.solve(opt, lo, hi, &basis, nullptr);
-  const LpResult cold = solver.solve(opt, lo, hi, nullptr, nullptr);
+  const LpResult warm = solver.solve(lo, hi, &basis, nullptr);
+  const LpResult cold = solver.solve(lo, hi, nullptr, nullptr);
   ASSERT_EQ(cold.status, LpStatus::kOptimal);
   ASSERT_EQ(warm.status, LpStatus::kOptimal);
   EXPECT_TRUE(warm.warm);
@@ -239,9 +236,8 @@ TEST(SparseWarmStart, BoundFlipRestoredByDualSimplex) {
 TEST(SparseWarmStart, DetectsInfeasibleChildNode) {
   const LinearProgram lp = extraction_shaped_lp();
   SparseLpSolver solver(lp);
-  const LpOptions opt;
   SparseBasis basis;
-  ASSERT_EQ(solver.solve(opt, lp.lower, lp.upper, nullptr, &basis).status,
+  ASSERT_EQ(solver.solve(lp.lower, lp.upper, nullptr, &basis).status,
             LpStatus::kOptimal);
   // Pin both root options to zero: the root-cover equality is violated and
   // the dual simplex must certify infeasibility from the warm basis.
@@ -249,7 +245,7 @@ TEST(SparseWarmStart, DetectsInfeasibleChildNode) {
   std::vector<double> hi = lp.upper;
   hi[0] = 0.0;
   hi[1] = 0.0;
-  EXPECT_EQ(solver.solve(opt, lo, hi, &basis, nullptr).status,
+  EXPECT_EQ(solver.solve(lo, hi, &basis, nullptr).status,
             LpStatus::kInfeasible);
 }
 
@@ -258,16 +254,15 @@ TEST(SparseWarmStart, ChainedFlipsMatchColdSolves) {
   // check every step against a cold solve of the same bounds.
   const LinearProgram lp = extraction_shaped_lp();
   SparseLpSolver solver(lp);
-  const LpOptions opt;
   std::vector<double> lo = lp.lower;
   std::vector<double> hi = lp.upper;
   SparseBasis basis;
-  ASSERT_EQ(solver.solve(opt, lo, hi, nullptr, &basis).status,
+  ASSERT_EQ(solver.solve(lo, hi, nullptr, &basis).status,
             LpStatus::kOptimal);
   for (int j : {2, 4, 0}) {
     lo[j] = hi[j] = (j == 0) ? 1.0 : 0.0;
-    const LpResult warm = solver.solve(opt, lo, hi, &basis, &basis);
-    const LpResult cold = solver.solve(opt, lo, hi, nullptr, nullptr);
+    const LpResult warm = solver.solve(lo, hi, &basis, &basis);
+    const LpResult cold = solver.solve(lo, hi, nullptr, nullptr);
     ASSERT_EQ(warm.status, cold.status) << "fix x" << j;
     if (cold.status != LpStatus::kOptimal) break;
     EXPECT_NEAR(warm.objective, cold.objective, 1e-9) << "fix x" << j;
