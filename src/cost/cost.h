@@ -26,7 +26,9 @@ class CostModel {
   virtual ~CostModel() = default;
   /// Estimated runtime, in microseconds, of one execution of `node` given
   /// its input and output value infos. Pure operator cost: the weight-only
-  /// zeroing convention is applied by node_cost(), not here.
+  /// zeroing convention is applied by node_cost(), not here. Must be >= 0:
+  /// greedy extraction settles classes in nondecreasing cost order and
+  /// throws on a negative cost.
   [[nodiscard]] virtual double op_cost(const TNode& node,
                                        span<const ValueInfo> inputs,
                                        const ValueInfo& out) const = 0;

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <map>
+#include <queue>
 
 #include "support/check.h"
 #include "support/timer.h"
@@ -38,102 +40,130 @@ std::vector<Id> reachable_classes(const EGraph& eg, Id root) {
 }
 
 /// The greedy per-class choice: cheapest best-subtree e-node per class
-/// (fixpoint; sharing ignored). Classes with no finite option are absent.
+/// (sharing ignored: a child class listed twice is paid twice). Classes with
+/// no finite option are absent.
 ///
-/// Worklist formulation: a class is re-evaluated only when one of its child
-/// classes improves, found through a parents index — the old full-resweep
-/// fixpoint re-scanned every e-node of every class per round. Per-node costs
-/// and canonical child slots are cached once up front, so each re-evaluation
-/// is a flat array scan. Choice ties resolve to the first e-node in class
-/// order attaining the minimum, which is also what the resweep converged to.
+/// Settle-once (Knuth's generalization of Dijkstra). An option's subtree
+/// cost is its own cost plus its children's, so with node costs >= 0 (they
+/// are runtimes; checked) an option never costs less than any of its
+/// children, and classes can be finalized in nondecreasing cost order. Each
+/// option counts its unsettled children with multiplicity and is summed
+/// exactly once, when its last child settles; the sum lowers its class's
+/// tentative cost in a min-heap keyed on (cost, slot), and a class is final
+/// when popped. Options are only summed while their class is unsettled, so
+/// a summed option's children all settled before its class.
+///
+/// Choice: per class, the first e-node in class order that was summed and
+/// attains the settled cost (within 1e-12). One exists (the option that set
+/// the cost), and each chosen child settled before its parent, so the
+/// selection is acyclic even where a zero-cost e-node ties a class to an
+/// ancestor (a weight merged with transpose(transpose(w))) and comes first.
 std::unordered_map<Id, TNode> greedy_selection(const EGraph& eg, const CostModel& model,
                                                const std::vector<Id>& classes) {
   const size_t n = classes.size();
   std::vector<int32_t> slot(eg.num_ids(), -1);
   for (size_t s = 0; s < n; ++s) slot[classes[s]] = static_cast<int32_t>(s);
 
-  // Flattened per-class options: cost + child slots, cached once.
+  // Flattened options in class order: cost + child slots, cached once.
   struct Option {
     const TNode* node;
     double cost;
+    uint32_t cls;                             // owning class slot
     uint32_t children_first, children_count;  // into child_slots
   };
   std::vector<Option> options;
   std::vector<uint32_t> child_slots;
-  std::vector<std::pair<uint32_t, uint32_t>> class_options(n);  // (first, count)
-  std::vector<std::vector<uint32_t>> parents(n);
+  // Class s owns options [class_first[s], class_first[s + 1]).
+  std::vector<uint32_t> class_first(n + 1);
   for (size_t s = 0; s < n; ++s) {
-    class_options[s].first = static_cast<uint32_t>(options.size());
+    class_first[s] = static_cast<uint32_t>(options.size());
     for (const EClassNode& e : eg.eclass(classes[s]).nodes) {
       if (e.filtered) continue;
       Option o;
       o.node = &e.node;
       o.cost = enode_cost(eg, classes[s], e.node, model);
+      TENSAT_CHECK(o.cost >= 0.0, "greedy extraction needs nonnegative node costs, got "
+                                      << o.cost << " for " << op_info(e.node.op).name);
+      o.cls = static_cast<uint32_t>(s);
       o.children_first = static_cast<uint32_t>(child_slots.size());
-      for (Id c : e.node.children) {
-        const uint32_t cs = static_cast<uint32_t>(slot[eg.find(c)]);
-        child_slots.push_back(cs);
-        parents[cs].push_back(static_cast<uint32_t>(s));
-      }
+      for (Id c : e.node.children)
+        child_slots.push_back(static_cast<uint32_t>(slot[eg.find(c)]));
       o.children_count = static_cast<uint32_t>(child_slots.size()) - o.children_first;
       options.push_back(o);
     }
-    class_options[s].second =
-        static_cast<uint32_t>(options.size()) - class_options[s].first;
   }
-  for (std::vector<uint32_t>& p : parents) {
-    std::sort(p.begin(), p.end());
-    p.erase(std::unique(p.begin(), p.end()), p.end());
+  class_first[n] = static_cast<uint32_t>(options.size());
+
+  // CSR child -> option index, one entry per child occurrence.
+  std::vector<uint32_t> users_first(n + 1, 0);
+  for (uint32_t c : child_slots) ++users_first[c + 1];
+  for (size_t s = 0; s < n; ++s) users_first[s + 1] += users_first[s];
+  std::vector<uint32_t> users(child_slots.size());
+  std::vector<uint32_t> fill(users_first.begin(), users_first.end() - 1);
+  for (uint32_t k = 0; k < options.size(); ++k) {
+    const Option& o = options[k];
+    for (uint32_t j = o.children_first; j < o.children_first + o.children_count; ++j)
+      users[fill[child_slots[j]]++] = k;
   }
 
-  std::vector<double> best(n, kHuge);
-  std::vector<const TNode*> choice(n, nullptr);
-  std::vector<char> queued(n, 1);
-  // Seed deepest-first: reachable_classes is a root-first DFS and the
-  // worklist pops from the back, so pushing in slot order evaluates deep
-  // classes before their parents and most classes settle on their first
-  // evaluation.
-  std::vector<uint32_t> work(n);
-  for (size_t s = 0; s < n; ++s) work[s] = static_cast<uint32_t>(s);
-  while (!work.empty()) {
-    const uint32_t s = work.back();
-    work.pop_back();
-    queued[s] = 0;
-    double new_best = kHuge;
-    const TNode* new_choice = nullptr;
-    const auto [first, count] = class_options[s];
-    for (uint32_t k = first; k < first + count; ++k) {
-      const Option& o = options[k];
-      double total = o.cost;
-      for (uint32_t j = o.children_first; j < o.children_first + o.children_count;
-           ++j) {
-        const double child_cost = best[child_slots[j]];
-        if (child_cost == kHuge) {
-          total = kHuge;
-          break;
-        }
-        total += child_cost;
-      }
-      if (total < new_best - 1e-12) {
-        new_best = total;
-        new_choice = o.node;
-      }
+  std::vector<double> best(n, kHuge);  // tentative until settled
+  std::vector<double> sum(options.size(), kHuge);
+  std::vector<uint32_t> pending(options.size());
+  std::vector<char> settled(n, 0);
+  using Entry = std::pair<double, uint32_t>;  // (cost, slot)
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
+  auto sum_option = [&](uint32_t k) {
+    const Option& o = options[k];
+    double total = o.cost;
+    for (uint32_t j = o.children_first; j < o.children_first + o.children_count; ++j)
+      total += best[child_slots[j]];
+    sum[k] = total;
+    if (total < best[o.cls]) {
+      best[o.cls] = total;
+      heap.emplace(total, o.cls);
     }
-    if (new_best < best[s] - 1e-12) {
-      best[s] = new_best;
-      choice[s] = new_choice;
-      for (uint32_t p : parents[s]) {
-        if (!queued[p]) {
-          queued[p] = 1;
-          work.push_back(p);
-        }
-      }
+  };
+  for (uint32_t k = 0; k < options.size(); ++k) {
+    pending[k] = options[k].children_count;
+    if (pending[k] == 0) sum_option(k);
+  }
+  while (!heap.empty()) {
+    const uint32_t s = heap.top().second;
+    heap.pop();
+    if (settled[s]) continue;  // superseded entry
+    settled[s] = 1;
+    for (uint32_t j = users_first[s]; j < users_first[s + 1]; ++j) {
+      const uint32_t k = users[j];
+      if (--pending[k] == 0 && !settled[options[k].cls]) sum_option(k);
     }
   }
 
   std::unordered_map<Id, TNode> result;
-  for (size_t s = 0; s < n; ++s)
-    if (choice[s] != nullptr) result.emplace(classes[s], *choice[s]);
+  for (size_t s = 0; s < n; ++s) {
+    if (!settled[s]) continue;
+    for (uint32_t k = class_first[s]; k < class_first[s + 1]; ++k) {
+      if (sum[k] <= best[s] + 1e-12) {
+        result.emplace(classes[s], *options[k].node);
+        break;
+      }
+    }
+  }
+  return result;
+}
+
+/// The greedy graph of a greedy_selection, or !ok when the root has no
+/// finite choice or the selection does not build.
+ExtractionResult greedy_result(const EGraph& eg, const CostModel& model,
+                               const std::unordered_map<Id, TNode>& selection) {
+  ExtractionResult result;
+  const Id root = eg.root();
+  if (!selection.count(root)) return result;  // no finite extraction
+  auto graph = build_selected_graph(eg, root, selection);
+  if (!graph.has_value()) return result;
+  result.graph = std::move(*graph);
+  result.graph.single_root();
+  result.cost = graph_cost(result.graph, model);
+  result.ok = true;
   return result;
 }
 
@@ -185,19 +215,8 @@ std::optional<Graph> build_selected_graph(
 }
 
 ExtractionResult extract_greedy(const EGraph& eg, const CostModel& model) {
-  ExtractionResult result;
-  const Id root = eg.root();
-  const std::vector<Id> classes = reachable_classes(eg, root);
-  const auto choice = greedy_selection(eg, model, classes);
-  if (!choice.count(root)) return result;  // no finite extraction
-
-  auto graph = build_selected_graph(eg, root, choice);
-  if (!graph.has_value()) return result;
-  result.graph = std::move(*graph);
-  result.graph.single_root();
-  result.cost = graph_cost(result.graph, model);
-  result.ok = true;
-  return result;
+  return greedy_result(eg, model,
+                       greedy_selection(eg, model, reachable_classes(eg, eg.root())));
 }
 
 IlpExtractionResult extract_ilp(const EGraph& eg, const CostModel& model,
@@ -256,8 +275,11 @@ IlpExtractionResult extract_ilp(const EGraph& eg, const CostModel& model,
     // Presolve: within a class, an e-node is dominated if another e-node has
     // the same child-class set and no higher cost — swapping them changes
     // neither feasibility nor the objective (all nodes of a class compute
-    // the same value). Keep the first-cheapest per child set, which is also
-    // what greedy extraction picks (keeps the warm start aligned).
+    // the same value). Keep the first-cheapest per child set. Greedy breaks
+    // ties the same way (the first e-node in class order attaining the
+    // minimum; e-nodes with the same children are eligible together), so its
+    // pick survives and the warm start maps — unless greedy paid a repeated
+    // child twice (ewadd(c, c) vs relu(c)); that warm start is dropped.
     struct Group {
       size_t node_index;
       double cost;
@@ -437,11 +459,11 @@ IlpExtractionResult extract_ilp(const EGraph& eg, const CostModel& model,
 
   // Greedy solution: warm start (incumbent upper bound) plus the fallback
   // returned on timeout, as in the paper.
-  ExtractionResult greedy = extract_greedy(eg, model);
   const std::unordered_map<Id, TNode> greedy_sel =
       greedy_selection(eg, model, classes);
+  ExtractionResult greedy = greedy_result(eg, model, greedy_sel);
   std::optional<std::vector<double>> warm;
-  if (greedy.ok && greedy_sel.count(root) > 0) {
+  if (greedy.ok) {
     if (auto x = selection_to_x(greedy_sel); x && lp.feasible(*x, 1e-6))
       warm = std::move(x);
   }

@@ -1,8 +1,12 @@
 // Extraction phase (paper §5): pick one e-node per needed e-class so the
 // chosen graph minimizes total cost.
 //
-//  * Greedy: per-class best-subtree fixpoint (egg's default). Ignores
-//    sharing, so it can pick strictly worse graphs (paper §6.5 / Table 4).
+//  * Greedy: per-class cheapest best-subtree e-node (egg's default),
+//    settle-once: classes are finalized in nondecreasing cost order from a
+//    min-heap, each evaluated once, which needs node costs >= 0. A tie goes
+//    to the first e-node in class order whose children settled before its
+//    class, so the selection is always acyclic. Ignores sharing, so it can
+//    pick strictly worse graphs (paper §6.5 / Table 4).
 //  * ILP: the paper's formulation — binary x_i per e-node, root constraint
 //    (2), child-cover constraints (3), optionally the topological-order
 //    cycle constraints (4)-(5) with real or integer t_m. Filter-list

@@ -1,13 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "extract/engine/engine.h"
 #include "extract/extract.h"
+#include "models/models.h"
 #include "optimizer/optimizer.h"
 #include "rewrite/matcher.h"
 #include "rewrite/rules.h"
+#include "support/check.h"
+#include "support/rng.h"
+#include "tests/random_egraph.h"
 
 namespace tensat {
 namespace {
@@ -502,6 +509,165 @@ TEST(ExtractEngine, OptimizerRoutesThroughEngine) {
   EXPECT_NEAR(run.ilp.cost, direct.cost, 1e-9);
   EXPECT_EQ(run.extract_stats.milp_vars_total, direct.stats.milp_vars_total);
   EXPECT_EQ(run.extract_stats.num_cores, direct.stats.num_cores);
+}
+
+// ---- Greedy extraction against an exact oracle ----------------------------
+
+/// The greedy oracle: every class's cheapest best-subtree cost, by resweeping
+/// every e-node of every class until nothing changes — no tolerance, and no
+/// dependence on the sweep order. Indexed by canonical id; kInf for a class
+/// with no finite option.
+std::vector<double> greedy_oracle(const EGraph& eg, const CostModel& m) {
+  std::vector<double> best(eg.num_ids(), kInf);
+  const std::vector<Id> classes = eg.canonical_classes();
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (Id cls : classes) {
+      for (const EClassNode& e : eg.eclass(cls).nodes) {
+        if (e.filtered) continue;
+        double total = enode_cost(eg, cls, e.node, m);
+        for (Id c : e.node.children) total += best[eg.find(c)];
+        if (total < best[cls]) {
+          best[cls] = total;
+          changed = true;
+        }
+      }
+    }
+  }
+  return best;
+}
+
+/// Cost of a concrete graph unfolded into a tree: a node reached along k
+/// paths is paid k times, which is what greedy extraction minimizes.
+double tree_cost(const Graph& g, const CostModel& m) {
+  std::vector<double> cost(g.size(), 0.0);
+  for (Id id : g.topo_order()) {
+    const TNode& n = g.node(id);
+    std::vector<ValueInfo> inputs;
+    for (Id c : n.children) inputs.push_back(g.info(c));
+    cost[id] = node_cost(m, n, inputs, g.info(id));
+    for (Id c : n.children) cost[id] += cost[c];
+  }
+  return cost[g.roots().at(0)];
+}
+
+/// extract_greedy agrees with the oracle: the greedy graph's tree cost is
+/// the oracle's root cost, every e-node it selected attains the oracle
+/// minimum of its class, and a second call extracts the same graph.
+void expect_greedy_matches_oracle(const EGraph& eg, const CostModel& m,
+                                  const std::string& label) {
+  const std::vector<double> best = greedy_oracle(eg, m);
+  const ExtractionResult greedy = extract_greedy(eg, m);
+  ASSERT_EQ(greedy.ok, best[eg.root()] < kInf) << label;
+  if (!greedy.ok) return;
+  const auto tol = [](double cost) { return 1e-9 * std::max(1.0, std::abs(cost)); };
+  EXPECT_NEAR(tree_cost(greedy.graph, m), best[eg.root()], tol(best[eg.root()]))
+      << label;
+  // Map each graph node back to the e-class of the e-node it was built from.
+  std::vector<Id> cls_of(greedy.graph.size(), kInvalidId);
+  for (Id id : greedy.graph.topo_order()) {
+    TNode enode = greedy.graph.node(id);
+    for (Id& c : enode.children) c = cls_of[c];
+    const std::optional<Id> cls = eg.lookup(enode);
+    ASSERT_TRUE(cls.has_value()) << label;
+    double total = enode_cost(eg, *cls, enode, m);
+    for (Id c : enode.children) total += best[c];
+    EXPECT_NEAR(total, best[*cls], tol(best[*cls]))
+        << label << ": " << op_info(enode.op).name << " in class " << *cls;
+    cls_of[id] = *cls;
+  }
+  EXPECT_EQ(cls_of[greedy.graph.roots().at(0)], eg.root()) << label;
+  EXPECT_EQ(extract_greedy(eg, m).graph.canonical_key(), greedy.graph.canonical_key())
+      << label;
+}
+
+TEST(GreedyOracle, TinyModels) {
+  // Explored as Optimizer.GreedyCostsPinnedOnTinyModels explores them.
+  for (const ModelInfo& info : tiny_models()) {
+    TensatOptions opt;
+    opt.k_max = 3;
+    opt.k_multi = 1;
+    opt.node_limit = 3000;
+    EGraph eg = seed_egraph(info.graph);
+    run_exploration(eg, default_rules(), opt);
+    expect_greedy_matches_oracle(eg, model(), info.name);
+  }
+}
+
+TEST(GreedyOracle, RandomEGraphs) {
+  // Fixed costs make exact ties common (a free sigmoid even closes
+  // zero-cost cycles) and near-ties a small fraction apart; the T4 model
+  // makes both rare.
+  const FixedCostModel fixed({{Op::kMatmul, 3.0}, {Op::kEwadd, 1.0},
+                              {Op::kEwmul, 1.125}, {Op::kRelu, 0.5},
+                              {Op::kTanh, 0.625}, {Op::kSigmoid, 0.0}});
+  TensatOptions explore;
+  explore.k_max = 2;
+  explore.k_multi = 1;
+  explore.node_limit = 500;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed * 0x9e3779b97f4a7c15ull);
+    const Graph g = random_graph(rng);
+    // The fuzz harness's instance: random merges (cycles possible) and
+    // random filtering. Its merges collapse most graphs to a few classes,
+    // so the same graph is also explored by the real rules, which leaves a
+    // choice in many classes, and a few merges on top bring cycles back.
+    EGraph fuzzed = seed_egraph(g);
+    random_merges(fuzzed, rng, static_cast<int>(rng.range(0, 10)));
+    random_filtering(fuzzed, rng, static_cast<int>(rng.range(0, 4)));
+    EGraph explored = seed_egraph(g);
+    run_exploration(explored, default_rules(), explore);
+    random_merges(explored, rng, static_cast<int>(rng.range(0, 3)));
+    const std::string label = "seed " + std::to_string(seed);
+    for (const EGraph* eg : {&fuzzed, &explored}) {
+      const std::string which = eg == &fuzzed ? " fuzzed" : " explored";
+      expect_greedy_matches_oracle(*eg, model(), label + which + " t4");
+      expect_greedy_matches_oracle(*eg, fixed, label + which + " fixed");
+    }
+  }
+}
+
+TEST(GreedyOracle, ZeroCostTieToAncestorStaysAcyclic) {
+  // A weight w merged with transpose(transpose(w)): class W = {transpose(T),
+  // w} and T = {transpose(W)}. Weight-only values are precomputed, so both
+  // options of W cost 0 and the cyclic one comes first in class order —
+  // "first e-node attaining the minimum" alone would select W -> T -> W.
+  Graph g;
+  const Id x = g.input("x", {2, 4});
+  const Id w = g.weight("w", {4, 8});
+  const Id t = g.transpose(w, {1, 0});
+  const Id tt = g.transpose(t, {1, 0});
+  const Id root = g.matmul(x, tt);
+  g.add_root(root);
+  EGraph eg;
+  const auto ids = eg.add_graph(g);
+  eg.set_root(ids.at(root));
+  eg.merge(ids.at(tt), ids.at(w));
+  eg.rebuild();
+  const EClass& weight_class = eg.eclass(ids.at(w));
+  ASSERT_EQ(weight_class.nodes.size(), 2u);
+  ASSERT_EQ(weight_class.nodes[0].node.op, Op::kTranspose);
+  const std::vector<double> best = greedy_oracle(eg, model());
+  EXPECT_EQ(best[eg.find(ids.at(w))], 0.0);
+  EXPECT_EQ(best[eg.find(ids.at(t))], 0.0);
+
+  const ExtractionResult greedy = extract_greedy(eg, model());
+  ASSERT_TRUE(greedy.ok);  // a cyclic selection would not build
+  EXPECT_EQ(greedy.graph.op_histogram().count(Op::kTranspose), 0u);
+  Graph direct;
+  direct.add_root(direct.matmul(direct.input("x", {2, 4}), direct.weight("w", {4, 8})));
+  EXPECT_EQ(greedy.graph.canonical_key(), direct.canonical_key());
+  expect_greedy_matches_oracle(eg, model(), "transpose tie");
+}
+
+TEST(GreedyOracle, NegativeNodeCostIsRejected) {
+  // Settling classes in nondecreasing cost order is only sound for node
+  // costs >= 0, so greedy refuses a negative one instead of answering.
+  const FixedCostModel fixed({{Op::kRelu, -1.0}});
+  Graph g;
+  g.add_root(g.relu(g.input("x", {8, 8})));
+  EGraph eg = seed_egraph(g);
+  EXPECT_THROW(extract_greedy(eg, fixed), Error);
 }
 
 }  // namespace
