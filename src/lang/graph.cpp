@@ -1,7 +1,7 @@
 #include "lang/graph.h"
 
 #include <algorithm>
-#include <sstream>
+#include <charconv>
 
 #include "support/check.h"
 
@@ -123,48 +123,58 @@ std::string Graph::to_sexpr(Id id) const {
   }
 }
 
-std::string Graph::canonical_key() const {
-  // Serialize reachable nodes with ids renumbered in first-visit DFS order
-  // from the roots; two isomorphic rooted hash-consed DAGs produce identical
-  // serializations because child traversal order is deterministic.
-  std::unordered_map<Id, int> renumber;
-  std::ostringstream os;
+std::string Graph::canonical_key(span<const Id> roots) const {
+  // Renumbers reachable nodes in DFS postorder from the roots in order,
+  // children in order, each node at its first visit; two isomorphic rooted
+  // hash-consed DAGs get identical serializations because that traversal
+  // order is deterministic. One line per node, "<id>=<op>[:<payload>]"
+  // then " <child id>" per child, then "roots:" and " <id>" per root.
+  std::vector<int> renumber(nodes_.size(), -1);
   std::vector<std::pair<Id, size_t>> stack;
-  std::vector<std::string> lines;
-  auto visit = [&](Id root) {
-    std::vector<Id> dfs;
-    dfs.push_back(root);
-    while (!dfs.empty()) {
-      Id id = dfs.back();
-      dfs.pop_back();
-      if (renumber.count(id)) continue;
-      // Emit children first (postorder via two-phase push).
-      bool ready = true;
-      for (Id c : nodes_[id].children)
-        if (!renumber.count(c)) ready = false;
-      if (!ready) {
-        dfs.push_back(id);
-        for (auto it = nodes_[id].children.rbegin(); it != nodes_[id].children.rend(); ++it)
-          if (!renumber.count(*it)) dfs.push_back(*it);
+  std::string out;
+  auto append_int = [&out](int64_t value) {
+    char buf[24];
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value);
+    out.append(buf, end);
+  };
+  int next_id = 0;
+  for (Id root : roots) {
+    if (renumber[root] >= 0) continue;
+    stack.emplace_back(root, 0);
+    while (!stack.empty()) {
+      auto& [id, next_child] = stack.back();
+      const TNode& n = nodes_[id];
+      if (next_child < n.children.size()) {
+        const Id child = n.children[next_child++];
+        if (renumber[child] < 0) stack.emplace_back(child, 0);
         continue;
       }
-      const int new_id = static_cast<int>(renumber.size());
-      renumber.emplace(id, new_id);
-      const TNode& n = nodes_[id];
-      std::string line = std::to_string(new_id);
-      line += '=';
-      line += op_info(n.op).name;
-      if (n.op == Op::kNum) line += ":" + std::to_string(n.num);
-      if (n.op == Op::kStr || n.op == Op::kVar) line += ":" + n.str.str();
-      for (Id c : n.children) line += " " + std::to_string(renumber.at(c));
-      lines.push_back(std::move(line));
+      renumber[id] = next_id;
+      append_int(next_id++);
+      out += '=';
+      out += op_info(n.op).name;
+      if (n.op == Op::kNum) {
+        out += ':';
+        append_int(n.num);
+      }
+      if (n.op == Op::kStr || n.op == Op::kVar) {
+        out += ':';
+        out += n.str.str();
+      }
+      for (Id c : n.children) {
+        out += ' ';
+        append_int(renumber[c]);
+      }
+      out += '\n';
+      stack.pop_back();
     }
-  };
-  for (Id root : roots_) visit(root);
-  for (const auto& line : lines) os << line << '\n';
-  os << "roots:";
-  for (Id root : roots_) os << ' ' << renumber.at(root);
-  return os.str();
+  }
+  out += "roots:";
+  for (Id root : roots) {
+    out += ' ';
+    append_int(renumber[root]);
+  }
+  return out;
 }
 
 std::unordered_map<Op, int> Graph::op_histogram() const {

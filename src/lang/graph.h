@@ -12,6 +12,7 @@
 
 #include "lang/node.h"
 #include "lang/shapes.h"
+#include "support/span.h"
 
 namespace tensat {
 
@@ -107,7 +108,10 @@ class Graph {
 
   /// A canonical serialization of the reachable graph: equal strings iff the
   /// rooted DAGs are isomorphic. Used by the TASO search's visited set.
-  [[nodiscard]] std::string canonical_key() const;
+  [[nodiscard]] std::string canonical_key() const { return canonical_key(roots_); }
+  /// The same serialization of the subgraph reachable from `roots`, in that
+  /// order, as if they were this graph's roots.
+  [[nodiscard]] std::string canonical_key(span<const Id> roots) const;
 
   /// Counts reachable nodes per operator (diagnostics / tests).
   [[nodiscard]] std::unordered_map<Op, int> op_histogram() const;

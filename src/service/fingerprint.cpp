@@ -10,30 +10,24 @@ namespace tensat {
 namespace service {
 
 std::string canonical_form(const Graph& g) {
-  TENSAT_CHECK(!g.roots().empty(), "canonical_form: graph has no roots");
+  const std::vector<Id>& roots = g.roots();
+  TENSAT_CHECK(!roots.empty(), "canonical_form: graph has no roots");
+  if (roots.size() == 1) return g.canonical_key();
   // canonical_key() renumbers nodes in first-visit DFS order from the roots,
   // which makes it id-relabeling invariant but root-order DEPENDENT (roots
-  // are visited and emitted in stored order). Sort the roots by their own
+  // are visited and emitted in the order given). Rank the roots by their own
   // single-root canonical serialization first; that order is itself
   // invariant under relabeling, so the combined key becomes root-order
   // invariant too.
-  Graph sorted = g;
-  if (g.roots().size() > 1) {
-    std::vector<std::pair<std::string, Id>> keyed;
-    keyed.reserve(g.roots().size());
-    for (Id r : g.roots()) {
-      Graph one = g;
-      one.set_roots({r});
-      keyed.emplace_back(one.canonical_key(), r);
-    }
-    std::stable_sort(keyed.begin(), keyed.end(),
-                     [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::vector<Id> roots;
-    roots.reserve(keyed.size());
-    for (auto& [key, r] : keyed) roots.push_back(r);
-    sorted.set_roots(std::move(roots));
-  }
-  return sorted.canonical_key();
+  std::vector<std::pair<std::string, Id>> keyed;
+  keyed.reserve(roots.size());
+  for (const Id& r : roots) keyed.emplace_back(g.canonical_key(span<const Id>(&r, 1)), r);
+  std::stable_sort(keyed.begin(), keyed.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<Id> ranked;
+  ranked.reserve(keyed.size());
+  for (const auto& [key, r] : keyed) ranked.push_back(r);
+  return g.canonical_key(ranked);
 }
 
 uint64_t fingerprint(const std::string& bytes) {

@@ -290,7 +290,7 @@ ServiceResponse OptimizationService::submit(const std::string& graph_text,
       trace::incr("service/hits", 1);
       resp.ok = true;
       resp.cache_hit = true;
-      resp.optimized_text = hit->optimized_text;  // stored bytes, untouched
+      resp.optimized_text = std::move(hit->optimized_text);  // stored bytes, untouched
       resp.original_cost = hit->original_cost;
       resp.optimized_cost = hit->optimized_cost;
       resp.iterations = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <utility>
 
 #include "trace/trace.h"
 
@@ -293,8 +294,11 @@ void WorkStealingPool::for_each(size_t n, size_t participants, RawFn fn,
     });
   }
   // All chunk executions are finished (done == n with acquire ordering), so
-  // `error` is final; stale invitations never touch it.
-  const std::exception_ptr error = job->error;
+  // `error` is final; stale invitations never touch it. Move it out rather
+  // than copy it: a stale invitation's release() may delete the Job on a
+  // worker, and a copy left inside would drop the exception's last
+  // reference there, after the caller has rethrown and caught it.
+  std::exception_ptr error = std::move(job->error);
   job->release();
 
   if (trace::Tracer::current() != nullptr) {

@@ -14,6 +14,8 @@ struct Interner {
   std::deque<std::string> strings;
   std::unordered_map<std::string_view, uint32_t> ids;
 
+  Interner() { intern(""); }  // id 0: the default-constructed Symbol
+
   uint32_t intern(std::string_view text) {
     std::lock_guard<std::mutex> lock(mu);
     auto it = ids.find(text);
@@ -37,10 +39,8 @@ Interner& interner() {
 
 }  // namespace
 
-Symbol::Symbol() : id_(interner().intern("")) {}
 Symbol::Symbol(std::string_view text) : id_(interner().intern(text)) {}
 
 const std::string& Symbol::str() const { return interner().lookup(id_); }
-bool Symbol::empty() const { return str().empty(); }
 
 }  // namespace tensat

@@ -13,8 +13,9 @@ namespace tensat {
 
 class Symbol {
  public:
-  /// The empty symbol, interned for "".
-  Symbol();
+  /// The empty symbol. "" is interned as id 0 when the table is built, so
+  /// this (like empty()) never touches the table or its lock.
+  constexpr Symbol() = default;
 
   /// Interns `text` (idempotent) and returns its handle.
   explicit Symbol(std::string_view text);
@@ -23,14 +24,14 @@ class Symbol {
   [[nodiscard]] const std::string& str() const;
 
   [[nodiscard]] uint32_t id() const { return id_; }
-  [[nodiscard]] bool empty() const;
+  [[nodiscard]] bool empty() const { return id_ == 0; }
 
   friend bool operator==(Symbol a, Symbol b) { return a.id_ == b.id_; }
   friend bool operator!=(Symbol a, Symbol b) { return a.id_ != b.id_; }
   friend bool operator<(Symbol a, Symbol b) { return a.id_ < b.id_; }
 
  private:
-  uint32_t id_;
+  uint32_t id_ = 0;
 };
 
 }  // namespace tensat

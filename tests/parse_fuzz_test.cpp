@@ -1,15 +1,26 @@
 // Parser robustness: arbitrary token soup must either parse or throw
 // tensat::Error — never crash, hang, or corrupt the graph. Also checks the
 // print -> parse -> print fixpoint on randomly generated patterns, and — the
-// service ingestion path — the save_graph/load_graph round trip plus its
+// service ingestion path — the save_graph/load_graph round trip, its
 // malformed-input rejection (a long-lived service must never crash or
-// silently mis-parse user-supplied graph text).
+// silently mis-parse user-supplied graph text), and a differential regime
+// that holds the production scanner to the line-stream oracle
+// (serialize_oracle.h) on byte-mutated saved graphs.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cstdio>
+#include <functional>
+#include <optional>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "lang/parse.h"
+#include "models/models.h"
 #include "serialize/serialize.h"
+#include "serialize_oracle.h"
+#include "service/fingerprint.h"
 #include "support/check.h"
 #include "support/rng.h"
 
@@ -216,6 +227,202 @@ TEST(SerializeEdge, OverflowShapeLiteralThrows) {
   EXPECT_THROW(load_graph_from_string(
                    "tensat-graph v1\n0 str x@99999999999\n1 input 0\nroots 1\n"),
                Error);
+}
+
+// ---- differential regime: scanner vs. line-stream oracle --------------------
+
+/// `text` with control and non-ASCII bytes spelled as escapes, for failure
+/// messages.
+std::string escaped(const std::string& text) {
+  std::string out;
+  for (unsigned char c : text) {
+    if (c == '\n') {
+      out += "\\n";
+    } else if (c < 0x20 || c >= 0x7f) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\x%02x", c);
+      out += buf;
+    } else {
+      out += static_cast<char>(c);
+    }
+  }
+  return out;
+}
+
+/// The scanner (through either entry point) and the oracle must both throw
+/// tensat::Error, or both load graphs with the same saved bytes and the same
+/// canonical form. Any other exception escapes and fails the test.
+void expect_same_as_oracle(const std::string& text, bool via_stream) {
+  std::optional<Graph> got;
+  std::optional<Graph> want;
+  try {
+    std::istringstream is(text);
+    got = via_stream ? load_graph(is) : load_graph_from_string(text);
+  } catch (const Error&) {
+  }
+  try {
+    want = serialize_oracle::load_graph_from_string(text);
+  } catch (const Error&) {
+  }
+  ASSERT_EQ(got.has_value(), want.has_value())
+      << (want ? "scanner rejects" : "scanner accepts") << ": " << escaped(text);
+  if (!got) return;
+  EXPECT_EQ(save_graph_to_string(*got), save_graph_to_string(*want)) << escaped(text);
+  EXPECT_EQ(service::canonical_form(*got), service::canonical_form(*want))
+      << escaped(text);
+}
+
+/// Rewrites every node, child and root id of a saved graph through `f`,
+/// leaving num/str/var payloads alone.
+std::string renumber_ids(const std::string& text,
+                         const std::function<long long(long long)>& f) {
+  std::istringstream is(text);
+  std::string line;
+  std::getline(is, line);
+  std::string out = line + '\n';
+  while (std::getline(is, line)) {
+    std::istringstream ls(line);
+    std::vector<std::string> toks;
+    for (std::string tok; ls >> tok;) toks.push_back(tok);
+    const bool roots = !toks.empty() && toks[0] == "roots";
+    const bool payload =
+        toks.size() > 1 && (toks[1] == "num" || toks[1] == "str" || toks[1] == "var");
+    for (size_t i = 0; i < toks.size(); ++i) {
+      const bool is_id = roots ? i > 0 : i == 0 || (i > 1 && !payload);
+      if (i > 0) out += ' ';
+      out += is_id ? std::to_string(f(std::stoll(toks[i]))) : toks[i];
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+/// Saved texts of the tiny models and of random concrete graphs.
+const std::vector<std::string>& mutation_corpus() {
+  static const std::vector<std::string> corpus = [] {
+    std::vector<std::string> texts;
+    for (const ModelInfo& m : tiny_models()) texts.push_back(save_graph_to_string(m.graph));
+    for (int seed = 0; seed < 24; ++seed) {
+      Rng rng(5150 + seed);
+      texts.push_back(save_graph_to_string(random_concrete_graph(rng)));
+    }
+    return texts;
+  }();
+  return corpus;
+}
+
+/// One byte-level edit of `s` at a random position.
+void mutate_bytes(std::string& s, Rng& rng) {
+  static const char* kTokens[] = {
+      "+5",  "+",    "-",     "+-5",   "-0",    "007",   "2147483647", "2147483648",
+      "-2147483649", "9223372036854775807", "9223372036854775808",
+      "-9223372036854775808", " ", "\t", "\r", "\v", "\f", "\n", "roots", "num",
+      "str", "var", "relu", "tensat-graph v1"};
+  const size_t pos = rng.below(s.size() + 1);
+  switch (rng.below(8)) {
+    case 0:  // drop 1-3 bytes
+      s.erase(pos, 1 + rng.below(3));
+      break;
+    case 1:  // duplicate up to 8 bytes
+      s.insert(pos, s.substr(pos, 1 + rng.below(8)));
+      break;
+    case 2:  // insert any byte, NUL and high bytes included
+      s.insert(pos, 1, static_cast<char>(rng.below(256)));
+      break;
+    case 3:  // insert a token that sits on a parsing edge
+      s.insert(pos, kTokens[rng.below(std::size(kTokens))]);
+      break;
+    case 4: {  // CRLF line ends, or tabs for spaces
+      const bool crlf = rng.chance(0.5);
+      std::string out;
+      for (char c : s) {
+        if (crlf && c == '\n') out += '\r';
+        out += !crlf && c == ' ' ? '\t' : c;
+      }
+      s = std::move(out);
+      break;
+    }
+    case 5: {  // a sign on the first token at or after `pos`
+      size_t at = pos;
+      while (at < s.size() && !(std::isdigit(static_cast<unsigned char>(s[at])) &&
+                                (at == 0 || s[at - 1] == ' ')))
+        ++at;
+      static const char* kSigns[] = {"+", "-", "+-", "++", "-+"};
+      s.insert(at, kSigns[rng.below(std::size(kSigns))]);
+      break;
+    }
+    case 6: {  // text after the roots line
+      static const char* kTails[] = {"junk", " \n", "\t\r\n", "\n\n", "1 num 3\n",
+                                     "roots 0\n", "\v\f"};
+      s += kTails[rng.below(std::size(kTails))];
+      break;
+    }
+    default:  // truncate
+      s.resize(pos);
+      break;
+  }
+}
+
+class SerializeDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(SerializeDifferential, ScannerMatchesOracleOnMutatedBytes) {
+  Rng rng(8086 + GetParam());
+  const std::vector<std::string>& corpus = mutation_corpus();
+  // Id renumberings: sparse, shifted, partly dense, colliding, forward
+  // references, and ids at and past INT_MAX.
+  const std::function<long long(long long)> kRenumber[] = {
+      [](long long k) { return 7 * k + 3; },
+      [](long long k) { return k + 1; },
+      [](long long k) { return k < 3 ? k : k + 10; },
+      [](long long k) { return k % 5; },
+      [](long long k) { return 1000 - k; },
+      [](long long k) { return 2147483640 + k; },
+  };
+  for (int i = 0; i < 40; ++i) {
+    std::string text = corpus[rng.below(corpus.size())];
+    const bool renumbered = rng.chance(0.3);
+    if (renumbered) text = renumber_ids(text, kRenumber[rng.below(std::size(kRenumber))]);
+    const int edits = static_cast<int>(rng.below(4)) + (renumbered ? 0 : 1);
+    for (int e = 0; e < edits; ++e) mutate_bytes(text, rng);
+    expect_same_as_oracle(text, rng.chance(0.5));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SerializeDifferential, ::testing::Range(0, 100));
+
+TEST(SerializeEdge, ScannerMatchesOracleOnEdgeCases) {
+  static const char* kCases[] = {
+      "",
+      "\n",
+      "tensat-graph v1",  // a lone header
+      "tensat-graph v1\n",
+      "tensat-graph v1\r\n0 num 3\r\nroots 0\r\n",
+      "tensat-graph v1\n0 num 3\r\nroots 0\r\n",
+      "tensat-graph v1\n\t0\tnum\t3\nroots\t0\t\n",
+      "tensat-graph v1\n0 num +5\nroots 0\n",
+      "tensat-graph v1\n0 num +-5\nroots 0\n",
+      "tensat-graph v1\n0 num -0\nroots 0\n",
+      "tensat-graph v1\n+0 num 5\nroots 0\n",
+      "tensat-graph v1\n-0 num 5\nroots -0\n",
+      "tensat-graph v1\n0 num 9223372036854775807\nroots 0\n",
+      "tensat-graph v1\n0 num 9223372036854775808\nroots 0\n",
+      "tensat-graph v1\n2147483647 num 5\nroots 2147483647\n",
+      "tensat-graph v1\n2147483648 num 5\nroots 2147483648\n",
+      "tensat-graph v1\n5 str x@2_2\n9 input 5\n3 relu 9\nroots 3 9\n",
+      "tensat-graph v1\n0 str x@2_2\n1 input 0\n\n \nroots 1\n",
+      "tensat-graph v1\n0 str x@2_2\n1 input 0\nroots 1\n \t\r\n\n",
+      "tensat-graph v1\n0 str x@2_2\n1 input 0\nroots 1\n1 num 3\n",
+      "tensat-graph v1\n0 str x@2_2\n1 input 0\nroots 1 roots\n",
+      "tensat-graph v1\n0 num 3\nroots\n",
+      "tensat-graph v1\n0 num\nroots 0\n",
+      "tensat-graph v1\n0\nroots 0\n",
+      "tensat-graph v1\n0 str\nroots 0\n",
+      "tensat-graph v1 \n0 num 3\nroots 0\n",
+  };
+  for (const char* text : kCases) {
+    expect_same_as_oracle(text, false);
+    expect_same_as_oracle(text, true);
+  }
 }
 
 }  // namespace

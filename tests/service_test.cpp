@@ -117,6 +117,79 @@ TEST(Fingerprint, SurvivesSerializeRoundTrip) {
   EXPECT_EQ(service::canonical_form(g), service::canonical_form(back));
 }
 
+TEST(Fingerprint, PinnedCanonicalForms) {
+  // The canonical bytes are a contract, not an implementation detail: the
+  // result cache keys on them, and response fingerprints, flight records and
+  // perfbench's drift check all hash them. The invariance tests above would
+  // still pass if a rewrite changed the bytes, so pin them. Each tiny model
+  // is pinned as built; with 1-3 extra `relu(input p<k>)` roots, appended in
+  // descending k so that ranking the roots has to reorder them; and with
+  // shared roots (an inner node of its root, then the root again), which
+  // the DFS reaches already numbered.
+  struct Pin {
+    const char* model;
+    int extra_roots;
+    bool shared_roots;
+    uint64_t form;  // fingerprint(canonical_form(g))
+    uint64_t key;   // fingerprint(g.canonical_key())
+  };
+  static const Pin kPins[] = {
+      {"NasRNN", 0, false, 0x9c94f9ca83170a51ull, 0x9c94f9ca83170a51ull},
+      {"NasRNN", 1, false, 0xdcec12df546c3336ull, 0xdcec12df546c3336ull},
+      {"NasRNN", 0, true, 0xd0c8cb7fc3efbd66ull, 0x059cb27633075e0cull},
+      {"BERT", 0, false, 0x420384ef5a5aea5full, 0x420384ef5a5aea5full},
+      {"BERT", 2, false, 0x04a430891c5b9475ull, 0x8befde9facb61442ull},
+      {"BERT", 0, true, 0x898e556e01f4d3c8ull, 0xe4d7d532400b2216ull},
+      {"ResNeXt-50", 0, false, 0x76036898eccb54caull, 0x76036898eccb54caull},
+      {"ResNeXt-50", 3, false, 0x03f3c99d5d544bf8ull, 0xe3ed055fb942655aull},
+      {"ResNeXt-50", 0, true, 0x6817160330b80e26ull, 0x27f7283535fa8a8aull},
+      {"NasNet-A", 0, false, 0xf46719f10c10a405ull, 0xf46719f10c10a405ull},
+      {"NasNet-A", 1, false, 0x0014e6014081080eull, 0x0014e6014081080eull},
+      {"NasNet-A", 0, true, 0x817a1f8aeae637baull, 0xe0acba8293fd6ebcull},
+      {"SqueezeNet", 0, false, 0x7b3f8177adec9634ull, 0x7b3f8177adec9634ull},
+      {"SqueezeNet", 2, false, 0x60f6635ca0659c73ull, 0x747ced36ec4ec13dull},
+      {"SqueezeNet", 0, true, 0x41a6d4c28ddc2bb9ull, 0xa13f8dba374a48e7ull},
+      {"VGG-19", 0, false, 0x042f0aaf30b0ba09ull, 0x042f0aaf30b0ba09ull},
+      {"VGG-19", 3, false, 0xea90a3745711fe5dull, 0xb12be7557141e50dull},
+      {"VGG-19", 0, true, 0x0e21f22ac95dfd8aull, 0xee732f011a7fe220ull},
+      {"Inception-v3", 0, false, 0x5e9e5361b242e0d0ull, 0x5e9e5361b242e0d0ull},
+      {"Inception-v3", 1, false, 0x221958044b1823e1ull, 0x221958044b1823e1ull},
+      {"Inception-v3", 0, true, 0x87bb828160dcf96cull, 0xdb7d810114987c64ull},
+      {"ResNet-50", 0, false, 0x0a1798fc09b43436ull, 0x0a1798fc09b43436ull},
+      {"ResNet-50", 2, false, 0x3e698749fb1b7cb3ull, 0x3011903dc5c482b5ull},
+      {"ResNet-50", 0, true, 0xd713bc4c05515e10ull, 0xc1f75a3c934d47acull},
+  };
+  const std::vector<ModelInfo> models = tiny_models();
+  size_t checked = 0;
+  for (const Pin& pin : kPins) {
+    for (const ModelInfo& m : models) {
+      if (m.name != pin.model) continue;
+      Graph g = m.graph;
+      if (pin.shared_roots) {
+        const Id root = g.roots()[0];
+        Id inner = root;
+        for (Id c : g.node(root).children) {
+          if (!g.node(c).children.empty()) {
+            inner = c;
+            break;
+          }
+        }
+        g.add_root(inner);
+        g.add_root(root);
+      }
+      for (int k = pin.extra_roots - 1; k >= 0; --k)
+        g.add_root(g.relu(g.input("p" + std::to_string(k), {16, 16})));
+      const std::string label = std::string(pin.model) + " +" +
+                                std::to_string(pin.extra_roots) +
+                                (pin.shared_roots ? " shared" : "");
+      EXPECT_EQ(service::fingerprint(service::canonical_form(g)), pin.form) << label;
+      EXPECT_EQ(service::fingerprint(g.canonical_key()), pin.key) << label;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, std::size(kPins));
+}
+
 // ---------------------------------------------------------------------------
 // Result cache
 
