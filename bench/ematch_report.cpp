@@ -43,11 +43,8 @@
 //     cache-only bit-identity check (a hit must return the exact bytes an
 //     independent cold recomputation produces). Gates: cached must be
 //     >= 5x cold (exit 15); hits must be bit-identical (exit 16).
-// 10. metrics: the always-on service metrics layer (src/metrics — latency
-//     histograms, gauges, flight recorder) priced on the cached steady-state
-//     mix: two identically-warmed services differing only in enable_metrics,
-//     min-of-N interleaved reps. Gate: metrics-enabled per-request time must
-//     stay <= 1.05x disabled (exit 17).
+// 10. (retired: metrics-enabled vs uninstrumented service overhead; the
+//     metrics layer is always on, so there is no uninstrumented service.)
 //
 // The top-level JSON carries provenance: schema_version, git_sha,
 // hardware_concurrency, build_type (bench/README.md).
@@ -709,15 +706,13 @@ int main(int argc, char** argv) {
       static_cast<double>(service_mix.size()) / service_cold_s;
 
   // (b) Full service: warm-up pass + session leg, then the timed steady
-  // state (every request a cache hit). Trace counters collected here.
+  // state (every request a cache hit). Service totals collected here.
   double service_cached_s = 0.0;
   constexpr size_t kServicePasses = 50;
   size_t service_sessions_reused = 0;
   double service_session_avg_s = 0.0;
-  int64_t svc_trace_hits = 0, svc_trace_misses = 0, svc_trace_reused = 0;
+  service::ServiceStats svc_totals;
   {
-    trace::Tracer tracer;
-    tracer.install();
     service::OptimizationService svc(rules, cost_model(), service_opt);
     for (const ServiceRequest& req : service_mix) {
       if (!svc.submit(req.text).ok) return 1;  // warm-up: populates the cache
@@ -745,12 +740,7 @@ int main(int argc, char** argv) {
           if (!svc.submit(req.text).ok) return 1;
       service_cached_s = t.seconds();
     }
-    tracer.uninstall();
-    for (const auto& total : tracer.summary().totals) {
-      if (total.name == "service/hits") svc_trace_hits = total.value;
-      if (total.name == "service/misses") svc_trace_misses = total.value;
-      if (total.name == "service/sessions_reused") svc_trace_reused = total.value;
-    }
+    svc_totals = svc.stats();
   }
   const double service_cached_rps =
       static_cast<double>(kServicePasses * service_mix.size()) / service_cached_s;
@@ -783,65 +773,11 @@ int main(int argc, char** argv) {
               "service", "cold req/s", "cached req/s", "speedup",
               service_mix.size(), kServicePasses);
   std::printf("%-24s %12.2f | %12.2f | %7.1fx   session avg %.3fs, reused %zu; "
-              "hits %lld, misses %lld; bit-identical: %s\n",
+              "hits %zu, misses %zu; bit-identical: %s\n",
               "repeat mix", service_cold_rps, service_cached_rps, service_speedup,
               service_session_avg_s, service_sessions_reused,
-              static_cast<long long>(svc_trace_hits),
-              static_cast<long long>(svc_trace_misses),
+              svc_totals.cache_hits, svc_totals.cache_misses,
               service_bit_identical ? "yes" : "NO");
-
-  // ---- Section 10: metrics-enabled service overhead ------------------------
-  // The metrics layer is always-on in production, so its price is paid on
-  // EVERY request — and the cache-hit steady state is where it is most
-  // visible: a hit is ~100us of real work, so per-request instrumentation
-  // (latency observe, gauge refresh, pool depth scan, flight-ring append)
-  // has nowhere to hide. Two identically-optioned services, both warmed to
-  // all-hits, differing only in enable_metrics; min-of-N interleaved reps
-  // (the section 7 discipline) so machine drift cancels. Gate (exit 17):
-  // metrics-enabled <= 1.05x disabled.
-  double metrics_disabled_s = 0.0;
-  double metrics_enabled_s = 0.0;
-  uint64_t metrics_flight_recorded = 0;
-  {
-    service::ServiceOptions with = service_opt;
-    with.enable_metrics = true;
-    service::ServiceOptions without = service_opt;
-    without.enable_metrics = false;
-    service::OptimizationService svc_with(rules, cost_model(), with);
-    service::OptimizationService svc_without(rules, cost_model(), without);
-    for (const ServiceRequest& req : service_mix) {
-      if (!svc_with.submit(req.text).ok) return 1;  // warm both caches
-      if (!svc_without.submit(req.text).ok) return 1;
-    }
-    constexpr size_t kMetricsPasses = 30;  // ~90 hits per rep
-    constexpr size_t kMetricsReps = 7;
-    const auto timed_rep = [&](service::OptimizationService& svc) {
-      Timer t;
-      for (size_t pass = 0; pass < kMetricsPasses; ++pass)
-        for (const ServiceRequest& req : service_mix)
-          if (!svc.submit(req.text).ok) return -1.0;
-      return t.seconds() /
-             static_cast<double>(kMetricsPasses * service_mix.size());
-    };
-    metrics_disabled_s = std::numeric_limits<double>::infinity();
-    metrics_enabled_s = std::numeric_limits<double>::infinity();
-    for (size_t rep = 0; rep < kMetricsReps; ++rep) {
-      const double off = timed_rep(svc_without);
-      const double on = timed_rep(svc_with);
-      if (off < 0.0 || on < 0.0) return 1;
-      metrics_disabled_s = std::min(metrics_disabled_s, off);
-      metrics_enabled_s = std::min(metrics_enabled_s, on);
-    }
-    metrics_flight_recorded = svc_with.flight_recorder()->total_recorded();
-  }
-  const double metrics_overhead =
-      metrics_disabled_s > 0.0 ? metrics_enabled_s / metrics_disabled_s : 1.0;
-  std::printf("\n%-24s %14s | %14s | %8s\n", "metrics overhead",
-              "disabled s/req", "enabled s/req", "ratio");
-  std::printf("%-24s %14.6f | %14.6f | %7.3fx  (%llu flight records)\n",
-              "cached service mix", metrics_disabled_s, metrics_enabled_s,
-              metrics_overhead,
-              static_cast<unsigned long long>(metrics_flight_recorded));
 
   // ---- JSON report ---------------------------------------------------------
   FILE* f = std::fopen(out_path.c_str(), "w");
@@ -852,7 +788,7 @@ int main(int argc, char** argv) {
   std::fprintf(f, "{\n");
   // Provenance: enough to tell which commit, build flavor, and machine class
   // produced the numbers when two BENCH_ematch.json artifacts disagree.
-  std::fprintf(f, "  \"schema_version\": 8,\n");
+  std::fprintf(f, "  \"schema_version\": 9,\n");
   std::fprintf(f, "  \"git_sha\": \"%s\",\n", build_git_sha());
   std::fprintf(f, "  \"build_type\": \"%s\",\n", build_type());
   std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
@@ -1060,25 +996,10 @@ int main(int argc, char** argv) {
                service_sessions_reused, service_session_avg_s);
   std::fprintf(f, "    \"bit_identical_hits\": %s,\n",
                service_bit_identical ? "true" : "false");
-  std::fprintf(f, "    \"trace_totals\": {\"hits\": %lld, \"misses\": %lld, "
-                  "\"sessions_reused\": %lld}\n",
-               static_cast<long long>(svc_trace_hits),
-               static_cast<long long>(svc_trace_misses),
-               static_cast<long long>(svc_trace_reused));
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"metrics\": {\n");
-  std::fprintf(f, "    \"workload\": \"cached steady-state service mix, two "
-                  "identically-warmed services differing only in "
-                  "enable_metrics (src/metrics latency histograms + gauges + "
-                  "flight recorder on every request); min-of-7 interleaved "
-                  "reps, per-request seconds\",\n");
-  std::fprintf(f, "    \"disabled_seconds_per_request\": %.9f,\n",
-               metrics_disabled_s);
-  std::fprintf(f, "    \"enabled_seconds_per_request\": %.9f,\n",
-               metrics_enabled_s);
-  std::fprintf(f, "    \"overhead_ratio\": %.4f,\n", metrics_overhead);
-  std::fprintf(f, "    \"flight_records\": %llu\n",
-               static_cast<unsigned long long>(metrics_flight_recorded));
+  std::fprintf(f, "    \"totals\": {\"hits\": %zu, \"misses\": %zu, "
+                  "\"sessions_reused\": %zu}\n",
+               svc_totals.cache_hits, svc_totals.cache_misses,
+               svc_totals.sessions_reused);
   std::fprintf(f, "  }\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
@@ -1088,12 +1009,11 @@ int main(int argc, char** argv) {
               "over monolithic extract, not gated): %.2fx, (engine solved a "
               "too-large instance): %s, (BERT gap): %s, (tracing overhead): "
               "%.3fx, (cached service over cold): %.1fx, (service hits "
-              "bit-identical): %s, (metrics overhead): %.3fx -> %s\n",
+              "bit-identical): %s -> %s\n",
               speedup, apply_speedup, cycle_speedup, extract_speedup,
               solved_too_large ? "yes" : "NO",
               bert_gap_ok ? "<= 1%" : "MISSED", trace_overhead, service_speedup,
-              service_bit_identical ? "yes" : "NO", metrics_overhead,
-              out_path.c_str());
+              service_bit_identical ? "yes" : "NO", out_path.c_str());
   if (speedup < 2.0) return 2;        // gate: VM must be >= 2x naive
   if (apply_speedup < 1.0) return 5;  // gate: pooled apply must not lose overall
   if (cycle_speedup < 1.0) return 6;  // gate: incremental cycles must not lose
@@ -1102,6 +1022,5 @@ int main(int argc, char** argv) {
   if (!bert_gap_ok) return 13;  // gate: BERT extraction certified within 1%
   if (service_speedup < 5.0) return 15;  // gate: cached service >= 5x cold
   if (!service_bit_identical) return 16;  // gate: hits == cold recomputation
-  if (metrics_overhead > 1.05) return 17;  // gate: metrics-enabled <= 1.05x
   return 0;
 }

@@ -1,8 +1,9 @@
 // tensat_service — a small CLI front end for the optimization service
 // (src/service/): parses graphs from the tensat-graph v1 text format,
 // drives OptimizationService through a repeated request mix, and prints the
-// per-request outcomes plus the service trace counters
-// (service/{hits,misses,sessions_reused}) for the CI smoke grep.
+// per-request outcomes plus the service counters
+// (service/{hits,misses,sessions_reused}, read from stats(), which reads
+// the metrics registry) for the CI smoke grep.
 //
 // Usage: tensat_service [options]
 //   --rounds N       repeat the request mix N times (default 3)
@@ -14,7 +15,6 @@
 //   --metrics FILE   write Prometheus text exposition to FILE at exit, plus
 //                    FILE.round<N> after each round (for monotonicity checks)
 //   --metrics-json FILE   write the JSON exposition to FILE at exit
-//   --no-metrics     run with the metrics layer disabled entirely
 //   --slow-threshold S    flight-recorder slow-request capture threshold in
 //                         seconds (default 0 = capture off)
 //   --slow-dump-dir DIR   where slow-request Chrome traces land (default ".")
@@ -23,9 +23,9 @@
 // shapes bench_ematch_report's service section measures at larger scale.
 // Round 1 is all cold; later rounds hit the result cache, and the session
 // leg resumes its e-graph, so a healthy run ends with hits > 0 and
-// sessions_reused > 0. With metrics on, each round also prints a one-line
-// stderr report (p50/p99 latency, hit ratio, pool depth) — the periodic
-// operator view a long-lived deployment would log.
+// sessions_reused > 0. Each round also prints a one-line stderr report
+// (p50/p99 latency, hit ratio, pool depth) — the periodic operator view a
+// long-lived deployment would log.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -42,7 +42,6 @@
 #include "serialize/serialize.h"
 #include "service/service.h"
 #include "support/buildinfo.h"
-#include "trace/trace.h"
 
 using namespace tensat;
 
@@ -53,7 +52,7 @@ int usage(const char* argv0) {
                "usage: %s [--rounds N] [--session KEY] [--node-limit N] "
                "[--k-max N] [--no-cache] [--no-sessions] [--no-warm]\n"
                "          [--metrics FILE] [--metrics-json FILE] "
-               "[--no-metrics] [--slow-threshold S] [--slow-dump-dir DIR]\n",
+               "[--slow-threshold S] [--slow-dump-dir DIR]\n",
                argv0);
   return 2;
 }
@@ -95,7 +94,6 @@ bool write_exposition(const std::string& path, const std::string& body) {
 /// ratio, and pool backlog — scraped from the same registry Prometheus sees.
 void report_round(const service::OptimizationService& svc, int round) {
   metrics::MetricsRegistry* reg = svc.metrics();
-  if (reg == nullptr) return;
   std::vector<metrics::HistogramSnapshot> parts;
   for (const char* outcome : {"hit", "cold", "session", "error"})
     parts.push_back(reg->histogram("tensat_service_submit_seconds",
@@ -152,8 +150,6 @@ int main(int argc, char** argv) {
       metrics_path = need_value("--metrics");
     else if (std::strcmp(argv[i], "--metrics-json") == 0)
       metrics_json_path = need_value("--metrics-json");
-    else if (std::strcmp(argv[i], "--no-metrics") == 0)
-      options.enable_metrics = false;
     else if (std::strcmp(argv[i], "--slow-threshold") == 0)
       options.slow_threshold_s = std::atof(need_value("--slow-threshold"));
     else if (std::strcmp(argv[i], "--slow-dump-dir") == 0)
@@ -181,8 +177,6 @@ int main(int argc, char** argv) {
   const T4CostModel& model = bench::cost_model();
   service::OptimizationService svc(rules, model, options);
 
-  trace::Tracer tracer;
-  tracer.install();
   int failures = 0;
   for (int round = 0; round < rounds; ++round) {
     for (const Request& req : mix) {
@@ -209,7 +203,7 @@ int main(int argc, char** argv) {
       }
     }
     report_round(svc, round);
-    if (!metrics_path.empty() && svc.metrics() != nullptr) {
+    if (!metrics_path.empty()) {
       // Per-round snapshots: tools/check_prometheus.py diffs consecutive
       // files to verify counters never decrease across scrapes.
       std::ostringstream body;
@@ -218,39 +212,33 @@ int main(int argc, char** argv) {
                        body.str());
     }
   }
-  tracer.uninstall();
-
   const service::ServiceStats stats = svc.stats();
   std::printf("\nrequests %zu  errors %zu  cache %zu/%zu entries  sessions %zu live\n",
               stats.requests, stats.errors, svc.cache_size(),
               options.cache_capacity, svc.live_sessions());
   // One line per service counter, exactly as CI greps them.
-  const trace::Summary summary = tracer.summary();
-  for (const auto& total : summary.totals)
-    if (total.name.rfind("service/", 0) == 0)
-      std::printf("%s %lld\n", total.name.c_str(),
-                  static_cast<long long>(total.value));
+  std::printf("service/hits %zu\n", stats.cache_hits);
+  std::printf("service/misses %zu\n", stats.cache_misses);
+  std::printf("service/sessions_reused %zu\n", stats.sessions_reused);
 
-  if (svc.metrics() != nullptr) {
-    if (!metrics_path.empty()) {
-      std::ostringstream body;
-      svc.metrics()->expose_prometheus(body);
-      if (!write_exposition(metrics_path, body.str())) ++failures;
-      std::printf("metrics/prometheus %s\n", metrics_path.c_str());
-    }
-    if (!metrics_json_path.empty()) {
-      std::ostringstream body;
-      svc.metrics()->expose_json(body);
-      if (!write_exposition(metrics_json_path, body.str())) ++failures;
-      std::printf("metrics/json %s\n", metrics_json_path.c_str());
-    }
-    const metrics::FlightRecorder& flight = *svc.flight_recorder();
-    std::printf("flight/recorded %llu\n",
-                static_cast<unsigned long long>(flight.total_recorded()));
-    std::printf("flight/dumps %llu\n",
-                static_cast<unsigned long long>(flight.dumps_written()));
-    for (const std::string& path : flight.dump_paths())
-      std::printf("flight/dump %s\n", path.c_str());
+  if (!metrics_path.empty()) {
+    std::ostringstream body;
+    svc.metrics()->expose_prometheus(body);
+    if (!write_exposition(metrics_path, body.str())) ++failures;
+    std::printf("metrics/prometheus %s\n", metrics_path.c_str());
   }
+  if (!metrics_json_path.empty()) {
+    std::ostringstream body;
+    svc.metrics()->expose_json(body);
+    if (!write_exposition(metrics_json_path, body.str())) ++failures;
+    std::printf("metrics/json %s\n", metrics_json_path.c_str());
+  }
+  const metrics::FlightRecorder& flight = *svc.flight_recorder();
+  std::printf("flight/recorded %llu\n",
+              static_cast<unsigned long long>(flight.total_recorded()));
+  std::printf("flight/dumps %llu\n",
+              static_cast<unsigned long long>(flight.dumps_written()));
+  for (const std::string& path : flight.dump_paths())
+    std::printf("flight/dump %s\n", path.c_str());
   return failures == 0 ? 0 : 1;
 }

@@ -21,11 +21,7 @@ namespace tensat {
 std::optional<MilpWarmCache::Entry> MilpWarmCache::lookup(uint64_t key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = map_.find(key);
-  if (it == map_.end()) {
-    ++misses_;
-    return std::nullopt;
-  }
-  ++hits_;
+  if (it == map_.end()) return std::nullopt;
   return it->second;
 }
 
@@ -44,16 +40,6 @@ void MilpWarmCache::store(uint64_t key, Entry entry) {
 size_t MilpWarmCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return map_.size();
-}
-
-uint64_t MilpWarmCache::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-uint64_t MilpWarmCache::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
 }
 
 uint64_t milp_formulation_key(const LinearProgram& lp,
@@ -205,27 +191,30 @@ EngineExtractionResult extract_engine(const EGraph& eg, const CostModel& model,
                                       const ExtractEngineOptions& options) {
   EngineExtractionResult result;
   Timer timer;
-  Timer phase_timer;
 
-  // Phase spans ride the existing phase_timer boundaries (explicit records,
-  // not ScopedSpans, because the phases share this scope and several exit
-  // early). The per-core spans below live on the solver workers' own lanes.
+  // Phase laps: one clock read per phase boundary ends one phase and starts
+  // the next, and that reading feeds both the phase span and its stats
+  // field (the tracer's clock when one is installed, `timer` otherwise).
+  // Explicit records, not ScopedSpans, because the phases share this scope
+  // and several exit early. The per-core spans below live on the solver
+  // workers' own lanes.
   const trace::ScopedSpan extract_span("extract");
   trace::Tracer* const tracer = trace::Tracer::current();
-  double phase_start_us = tracer != nullptr ? tracer->now_us() : 0.0;
-  const auto phase_mark = [&](const char* name) {
-    if (tracer == nullptr) return;
-    const double now = tracer->now_us();
-    tracer->record_span(name, phase_start_us, now);
+  const auto now_us = [&] {
+    return tracer != nullptr ? tracer->now_us() : timer.seconds() * 1e6;
+  };
+  double phase_start_us = now_us();
+  const auto phase_mark = [&](const char* name, double& seconds) {
+    const double now = now_us();
+    if (tracer != nullptr) tracer->record_span(name, phase_start_us, now);
+    seconds += (now - phase_start_us) * 1e-6;
     phase_start_us = now;
   };
 
   // ---- Reach: flatten the reachable sub-e-graph --------------------------
   Problem p = Problem::build(eg, model);
-  phase_mark("extract/reach");
-  result.stats.reach_seconds = phase_timer.seconds();
+  phase_mark("extract/reach", result.stats.reach_seconds);
   result.stats.classes_reachable = p.classes.size();
-  phase_timer.reset();
 
   // Greedy fallback graph: the REAL extract_greedy, exactly as the
   // monolithic path computes it, so the cyclic-selection fallback returns
@@ -239,9 +228,7 @@ EngineExtractionResult extract_engine(const EGraph& eg, const CostModel& model,
   // The warm-start/fallback computation is charged to lp-build, the phase
   // the monolithic path books it under, so the per-phase breakdown stays
   // comparable across the two paths.
-  phase_mark("extract/greedy");
-  result.stats.lp_build_seconds += phase_timer.seconds();
-  phase_timer.reset();
+  phase_mark("extract/greedy", result.stats.lp_build_seconds);
 
   // ---- Reduce + condense + collapse --------------------------------------
   if (p.classes[p.root].dp_cost == kInfCost) {
@@ -259,7 +246,7 @@ EngineExtractionResult extract_engine(const EGraph& eg, const CostModel& model,
   exteng::mark_free(p, rstats);
   exteng::reduce(p, reduce_opt, rstats);
   if (rstats.infeasible) {
-    result.stats.reduce_seconds = phase_timer.seconds();
+    phase_mark("extract/reduce", result.stats.reduce_seconds);
     result.milp_status = MilpStatus::kInfeasible;
     result.solve_seconds = timer.seconds();
     return result;
@@ -268,8 +255,7 @@ EngineExtractionResult extract_engine(const EGraph& eg, const CostModel& model,
   exteng::collapse_treelike(p, rstats);
   const size_t num_components = exteng::assign_components(p);
 
-  phase_mark("extract/reduce");
-  result.stats.reduce_seconds = phase_timer.seconds();
+  phase_mark("extract/reduce", result.stats.reduce_seconds);
   result.stats.classes_forced = rstats.classes_forced;
   result.stats.classes_free = rstats.classes_free;
   result.stats.classes_collapsed = rstats.classes_collapsed;
@@ -277,7 +263,6 @@ EngineExtractionResult extract_engine(const EGraph& eg, const CostModel& model,
   result.stats.nodes_pruned_dominated = rstats.nodes_pruned_dominated;
   result.stats.nodes_pruned_bound = rstats.nodes_pruned_bound;
   result.stats.base_cost = p.base_cost;
-  phase_timer.reset();
 
   // ---- Assemble one MILP per core ----------------------------------------
   std::vector<Core> cores;
@@ -441,9 +426,7 @@ EngineExtractionResult extract_engine(const EGraph& eg, const CostModel& model,
     if (x && core.lp.feasible(*x, 1e-6)) core.warm = std::move(x);
   }
   result.num_rows = rows_total;
-  phase_mark("extract/build");
-  result.stats.lp_build_seconds += phase_timer.seconds();
-  phase_timer.reset();
+  phase_mark("extract/build", result.stats.lp_build_seconds);
 
   // ---- Solve the cores in parallel, merge in core order ------------------
   MilpOptions milp_opt_base;
@@ -651,9 +634,7 @@ EngineExtractionResult extract_engine(const EGraph& eg, const CostModel& model,
             {cores[k].milp.root_basis, cores[k].milp.pseudocost});
     }
   }
-  phase_mark("extract/solve");
-  result.stats.solve_seconds = phase_timer.seconds();
-  phase_timer.reset();
+  phase_mark("extract/solve", result.stats.solve_seconds);
 
   // Aggregate solver outcomes: optimal only if every core proved optimal;
   // a core with an incumbent but no proof degrades the whole result to
@@ -721,8 +702,7 @@ EngineExtractionResult extract_engine(const EGraph& eg, const CostModel& model,
   auto graph = build_selected_graph(eg, eg.root(), selection);
   if (!graph.has_value()) {
     result.cyclic_selection = true;
-    phase_mark("extract/stitch");
-    result.stats.stitch_seconds = phase_timer.seconds();
+    phase_mark("extract/stitch", result.stats.stitch_seconds);
     if (greedy.ok) {  // best known feasible solution, as in the monolithic
       result.graph = std::move(greedy.graph);
       result.cost = greedy.cost;
@@ -739,8 +719,7 @@ EngineExtractionResult extract_engine(const EGraph& eg, const CostModel& model,
   result.ok = true;
   result.stats.gap = std::max(0.0, (result.cost - result.best_bound) /
                                        std::max(std::abs(result.cost), 1e-12));
-  phase_mark("extract/stitch");
-  result.stats.stitch_seconds = phase_timer.seconds();
+  phase_mark("extract/stitch", result.stats.stitch_seconds);
   return result;
 }
 

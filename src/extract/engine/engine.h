@@ -58,22 +58,18 @@ class MilpWarmCache {
 
   explicit MilpWarmCache(size_t capacity = 512) : capacity_(capacity) {}
 
-  /// Returns the stored entry for a formulation key, counting a hit/miss.
+  /// Returns the stored entry for a formulation key, if any.
   std::optional<Entry> lookup(uint64_t key);
   /// Stores (or refreshes) the entry for a key, evicting FIFO past capacity.
   void store(uint64_t key, Entry entry);
 
   [[nodiscard]] size_t size() const;
-  [[nodiscard]] uint64_t hits() const;
-  [[nodiscard]] uint64_t misses() const;
 
  private:
   mutable std::mutex mu_;
   size_t capacity_;
   std::unordered_map<uint64_t, Entry> map_;
   std::deque<uint64_t> order_;  // insertion order, for FIFO eviction
-  uint64_t hits_{0};
-  uint64_t misses_{0};
 };
 
 /// Fingerprint of an LP formulation + integrality mask: equal keys for the

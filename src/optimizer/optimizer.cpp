@@ -218,7 +218,7 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
   std::unique_ptr<IncrementalCycleAnalysis> owned_cycles;
   IncrementalCycleAnalysis* inc_cycles = nullptr;
   if (incremental_cycles) {
-    Timer dmap_timer;
+    const trace::ScopedSpan dmap_span("explore/dmap", stats.dmap_seconds);
     if (session != nullptr) {
       if (session->cycles == nullptr) {
         session->cycles = std::make_unique<IncrementalCycleAnalysis>(
@@ -233,7 +233,6 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
           eg, /*fallback_fraction=*/0.5, options.apply_threads);
       inc_cycles = owned_cycles.get();
     }
-    stats.dmap_seconds += dmap_timer.seconds();
   }
   for (int iter = 0; iter < options.k_max; ++iter) {
     if (timer.seconds() > options.explore_time_limit_s) {
@@ -265,22 +264,17 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
     std::unique_ptr<DescendantsMap> dmap;
     const ReachabilityMap* reach = nullptr;
     if (options.cycle_filter == CycleFilterMode::kEfficient) {
+      const trace::ScopedSpan dmap_span("explore/dmap", stats.dmap_seconds);
       if (incremental_cycles) {
         // Serial epoch boundary: drain the journal accumulated since the
         // last boundary into the next frozen epoch. Done lazily here — not
         // after the previous iteration's sweep — so the final iteration's
         // journal (whose epoch nobody would ever query) is never paid for,
         // mirroring the fresh path building its map only at iteration start.
-        const trace::ScopedSpan dmap_span("explore/dmap");
-        Timer dmap_timer;
         inc_cycles->advance_epoch();
-        stats.dmap_seconds += dmap_timer.seconds();
         reach = inc_cycles;
       } else {
-        const trace::ScopedSpan dmap_span("explore/dmap");
-        Timer dmap_timer;
         dmap = std::make_unique<DescendantsMap>(eg);
-        stats.dmap_seconds += dmap_timer.seconds();
         reach = dmap.get();
       }
     }
@@ -335,13 +329,13 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
       if (ematch::search_work_estimate(eg, progs) < ematch::kMinParallelSearchWork)
         search_threads = 1;
     }
-    Timer search_timer;
     // Per-task wall time, written by whichever worker runs the task (its own
     // slot; parallel_for's join publishes it) and distributed to the charged
     // rules serially below.
     std::vector<double> task_seconds(tasks.size(), 0.0);
     {
-      const trace::ScopedSpan search_span("explore/search");
+      const trace::ScopedSpan search_span("explore/search",
+                                          stats.search_seconds);
       parallel_for(tasks.size(), search_threads, [&](size_t t) {
         const SearchTask& task = tasks[t];
         const Timer task_timer;
@@ -353,7 +347,6 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
         task_seconds[t] = task_timer.seconds();
       });
     }
-    stats.search_seconds += search_timer.seconds();
     for (size_t t = 0; t < tasks.size(); ++t) {
       const std::vector<size_t>& charged = tasks[t].charged_rules;
       const double share = task_seconds[t] / static_cast<double>(charged.size());
@@ -496,10 +489,9 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
 
     // STAGE 3: restore congruence, then filter cycles.
     {
-      const trace::ScopedSpan rebuild_span("explore/rebuild");
-      Timer rebuild_timer;
+      const trace::ScopedSpan rebuild_span("explore/rebuild",
+                                           stats.rebuild_seconds);
       eg.rebuild();
-      stats.rebuild_seconds += rebuild_timer.seconds();
     }
     // Post-processing (Algorithm 2 lines 10-18): filter remaining cycles.
     if (options.cycle_filter == CycleFilterMode::kEfficient ||
@@ -511,13 +503,12 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
       // classes and skips outright on add-only iterations; when it does
       // find a cycle it delegates to the same full filter_cycles pass, so
       // the filtered sets match the fresh baseline exactly.
-      const trace::ScopedSpan sweep_span("explore/sweep");
-      Timer sweep_timer;
+      const trace::ScopedSpan sweep_span("explore/sweep",
+                                         stats.cycle_sweep_seconds);
       if (incremental_cycles)
         inc_cycles->sweep_cycles();
       else
         filter_cycles(eg);
-      stats.cycle_sweep_seconds += sweep_timer.seconds();
     }
 
     // Growth timeline: one sample per executed iteration, taken after the
@@ -584,11 +575,18 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
 
 TensatResult optimize(const Graph& input, const std::vector<Rewrite>& rules,
                       const CostModel& model, const TensatOptions& options) {
+  EGraph eg = seed_egraph(input);
+  ExploreStats explore = run_exploration(eg, rules, options);
+  TensatResult result = extract_certified(eg, input, model, options);
+  result.explore = std::move(explore);
+  return result;
+}
+
+TensatResult extract_certified(const EGraph& eg, const Graph& input,
+                               const CostModel& model,
+                               const TensatOptions& options) {
   TensatResult result;
   result.original_cost = graph_cost(input, model);
-
-  EGraph eg = seed_egraph(input);
-  result.explore = run_exploration(eg, rules, options);
 
   Timer extract_timer;
   if (options.extractor == ExtractorKind::kGreedy) {

@@ -147,7 +147,9 @@ struct ExploreStats {
   /// advances (incremental mode); cycle_sweep = the post-rebuild cycle
   /// filtering pass. dmap/cycle_sweep used to be folded into apply/rebuild;
   /// they are split out so the incremental-vs-fresh cycle analysis gate can
-  /// measure exactly the work it replaces.
+  /// measure exactly the work it replaces. search, rebuild, dmap and
+  /// cycle_sweep are the summed durations of the explore/{search,rebuild,
+  /// dmap,sweep} spans: one clock (trace::ScopedSpan) times both.
   double search_seconds{0.0};
   double apply_seconds{0.0};
   double rebuild_seconds{0.0};
@@ -222,6 +224,16 @@ struct TensatResult {
 /// The full pipeline: seed e-graph from `input`, explore, extract.
 TensatResult optimize(const Graph& input, const std::vector<Rewrite>& rules,
                       const CostModel& model, const TensatOptions& options = {});
+
+/// The pipeline's tail on an explored e-graph: extraction with
+/// `options.extractor`, then the certificate that the result is never
+/// worse than `input` (on failure or no gain, `optimized` is `input`,
+/// single-rooted). Fills every TensatResult field except `explore`, and
+/// `ok` is always true. optimize() and the service's session path both end
+/// here.
+TensatResult extract_certified(const EGraph& eg, const Graph& input,
+                               const CostModel& model,
+                               const TensatOptions& options);
 
 /// Seeds an e-graph with `input` (single-rooted via noop if needed).
 EGraph seed_egraph(const Graph& input);

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <list>
 #include <mutex>
 #include <optional>
@@ -28,8 +27,6 @@ struct CachedResult {
   std::string optimized_text;  // serialized optimized graph (exact bytes)
   double original_cost{0.0};
   double optimized_cost{0.0};
-  int iterations{0};           // exploration iterations of the populating run
-  uint64_t fingerprint{0};     // display fingerprint of the canonical form
 };
 
 /// Bounded LRU map: canonical form -> CachedResult.
@@ -41,12 +38,8 @@ class ResultCache {
   std::optional<CachedResult> lookup(const std::string& canonical) {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = map_.find(canonical);
-    if (it == map_.end()) {
-      ++misses_;
-      return std::nullopt;
-    }
+    if (it == map_.end()) return std::nullopt;
     order_.splice(order_.begin(), order_, it->second.order_it);
-    ++hits_;
     return it->second.value;
   }
 
@@ -73,14 +66,6 @@ class ResultCache {
     return map_.size();
   }
   [[nodiscard]] size_t capacity() const { return capacity_; }
-  [[nodiscard]] size_t hits() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hits_;
-  }
-  [[nodiscard]] size_t misses() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return misses_;
-  }
 
  private:
   struct Entry {
@@ -92,8 +77,6 @@ class ResultCache {
   mutable std::mutex mutex_;
   std::unordered_map<std::string, Entry> map_;
   std::list<std::string> order_;  // front = most recently used
-  size_t hits_{0};
-  size_t misses_{0};
 };
 
 }  // namespace service

@@ -1,16 +1,13 @@
 #include "service/service.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "cycles/incremental.h"
 #include "egraph/egraph.h"
-#include "extract/extract.h"
 #include "serialize/serialize.h"
 #include "service/fingerprint.h"
 #include "support/pool.h"
 #include "support/timer.h"
-#include "trace/trace.h"
 
 namespace tensat {
 namespace service {
@@ -23,18 +20,9 @@ struct OptimizationService::Session {
   std::mutex mutex;            // serializes runs on this session
   std::unique_ptr<EGraph> eg;  // heap-owned: must not move while journaled
   ExplorationSession exp;
-  size_t runs{0};
   /// E-node total last folded into the service-wide session_enodes_ delta
   /// counter (so retirement/regrowth adjust by exact differences).
   size_t recorded_enodes{0};
-};
-
-struct OptimizationService::RunTelemetry {
-  ExploreStats explore;
-  ExtractStats extract;
-  bool has_explore{false};
-  bool has_extract{false};
-  size_t enodes_total{0};  // e-graph size when the run finished
 };
 
 /// All metric handles, resolved once at construction so the request path
@@ -157,47 +145,47 @@ OptimizationService::OptimizationService(const std::vector<Rewrite>& rules,
                        : 10 * options_.tensat.node_limit),
       cache_(options_.cache_capacity),
       warm_(options_.warm_capacity),
-      instruments_(options_.enable_metrics
-                       ? std::make_unique<Instruments>([&] {
-                           metrics::FlightRecorder::Options f;
-                           f.capacity = options_.flight_capacity;
-                           f.slow_threshold_s = options_.slow_threshold_s;
-                           f.dump_dir = options_.slow_dump_dir;
-                           f.max_dumps = options_.max_slow_dumps;
-                           return f;
-                         }())
-                       : nullptr) {}
+      instruments_(std::make_unique<Instruments>([&] {
+        metrics::FlightRecorder::Options f;
+        f.capacity = options_.flight_capacity;
+        f.slow_threshold_s = options_.slow_threshold_s;
+        f.dump_dir = options_.slow_dump_dir;
+        f.max_dumps = options_.max_slow_dumps;
+        return f;
+      }())) {}
 
 OptimizationService::~OptimizationService() = default;
 
 metrics::MetricsRegistry* OptimizationService::metrics() const {
-  return instruments_ ? &instruments_->registry : nullptr;
+  return &instruments_->registry;
 }
 
 metrics::FlightRecorder* OptimizationService::flight_recorder() const {
-  return instruments_ ? &instruments_->flight : nullptr;
+  return &instruments_->flight;
 }
 
 /// The single exit point for submit(): observes the latency histogram for
 /// `outcome`, refreshes the scrape gauges, folds the run's extraction
 /// counters in, and appends the flight-recorder record (which may dump a
-/// slow-request trace). No-op when metrics are disabled.
+/// slow-request trace). `run` is null for hits and errors. Greedy runs
+/// carry zeroed extraction stats with an infinite gap, so their extraction
+/// counters add nothing.
 void OptimizationService::finish(ServiceResponse& resp,
                                  metrics::RequestRecord::Outcome outcome,
-                                 const RunTelemetry* tel) {
-  if (!instruments_) return;
+                                 const TensatResult* run) {
   Instruments& m = *instruments_;
   m.latency(outcome).observe(resp.seconds);
 
-  if (tel != nullptr && tel->has_extract) {
-    m.fallback_cores.add(tel->extract.fallback_cores);
-    if (tel->extract.warm_start_hits > 0)
-      m.warm_start_hits.add(static_cast<uint64_t>(tel->extract.warm_start_hits));
-    if (tel->extract.refactorizations > 0)
-      m.refactorizations.add(
-          static_cast<uint64_t>(tel->extract.refactorizations));
-    if (tel->extract.gap >= 0.0 && tel->extract.gap < kInf)
-      m.milp_gap.observe(tel->extract.gap);
+  const bool has_gap = run != nullptr && run->extract_stats.gap >= 0.0 &&
+                       run->extract_stats.gap < kInf;
+  if (run != nullptr) {
+    const ExtractStats& x = run->extract_stats;
+    m.fallback_cores.add(x.fallback_cores);
+    if (x.warm_start_hits > 0)
+      m.warm_start_hits.add(static_cast<uint64_t>(x.warm_start_hits));
+    if (x.refactorizations > 0)
+      m.refactorizations.add(static_cast<uint64_t>(x.refactorizations));
+    if (has_gap) m.milp_gap.observe(x.gap);
   }
 
   // Scrape gauges. Reading the service's own counters via the registry
@@ -217,9 +205,14 @@ void OptimizationService::finish(ServiceResponse& resp,
   WorkStealingPool& pool = WorkStealingPool::global();
   m.pool_queue_depth.set(static_cast<double>(pool.queue_depth()));
   m.pool_workers.set(static_cast<double>(pool.worker_count()));
+  // Concurrent requests can read the pool's steal total in one order and
+  // publish it in the other, so `last_pool_steals` only ever moves forward:
+  // each steal is added exactly once, by whichever request first saw it.
   const uint64_t steals = pool.stats().steals;
-  const uint64_t prev =
-      m.last_pool_steals.exchange(steals, std::memory_order_relaxed);
+  uint64_t prev = m.last_pool_steals.load(std::memory_order_relaxed);
+  while (steals > prev && !m.last_pool_steals.compare_exchange_weak(
+                              prev, steals, std::memory_order_relaxed)) {
+  }
   if (steals > prev) m.pool_steals.add(steals - prev);
 
   metrics::RequestRecord rec;
@@ -228,26 +221,23 @@ void OptimizationService::finish(ServiceResponse& resp,
   rec.outcome = outcome;
   rec.seconds = resp.seconds;
   rec.iterations = resp.iterations;
-  if (tel != nullptr) {
-    if (tel->has_explore) {
-      rec.stop_reason = static_cast<int>(tel->explore.stop);
-      rec.search_seconds = tel->explore.search_seconds;
-      rec.apply_seconds = tel->explore.apply_seconds;
-      rec.rebuild_seconds = tel->explore.rebuild_seconds;
-      rec.dmap_seconds = tel->explore.dmap_seconds;
-      rec.cycle_sweep_seconds = tel->explore.cycle_sweep_seconds;
-    }
-    if (tel->has_extract) {
-      rec.reach_seconds = tel->extract.reach_seconds;
-      rec.reduce_seconds = tel->extract.reduce_seconds;
-      rec.lp_build_seconds = tel->extract.lp_build_seconds;
-      rec.solve_seconds = tel->extract.solve_seconds;
-      rec.stitch_seconds = tel->extract.stitch_seconds;
-      if (tel->extract.gap >= 0.0 && tel->extract.gap < kInf)
-        rec.milp_gap = tel->extract.gap;
-      rec.fallback_cores = tel->extract.fallback_cores;
-    }
-    rec.enodes_total = tel->enodes_total;
+  if (run != nullptr) {
+    const ExploreStats& e = run->explore;
+    rec.stop_reason = static_cast<int>(e.stop);
+    rec.search_seconds = e.search_seconds;
+    rec.apply_seconds = e.apply_seconds;
+    rec.rebuild_seconds = e.rebuild_seconds;
+    rec.dmap_seconds = e.dmap_seconds;
+    rec.cycle_sweep_seconds = e.cycle_sweep_seconds;
+    const ExtractStats& x = run->extract_stats;
+    rec.reach_seconds = x.reach_seconds;
+    rec.reduce_seconds = x.reduce_seconds;
+    rec.lp_build_seconds = x.lp_build_seconds;
+    rec.solve_seconds = x.solve_seconds;
+    rec.stitch_seconds = x.stitch_seconds;
+    if (has_gap) rec.milp_gap = x.gap;
+    rec.fallback_cores = x.fallback_cores;
+    rec.enodes_total = e.enodes_total;
   }
   m.flight.record(rec);
 }
@@ -258,11 +248,8 @@ ServiceResponse OptimizationService::submit(const std::string& graph_text,
   ServiceResponse resp;
   resp.request_id =
       next_request_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.requests;
-  }
-  if (instruments_) instruments_->requests.inc();
+  Instruments& m = *instruments_;
+  m.requests.inc();
 
   Graph input;
   std::string canonical;
@@ -273,11 +260,7 @@ ServiceResponse OptimizationService::submit(const std::string& graph_text,
     // Malformed request bytes are a client error, never a service crash.
     resp.error = e.what();
     resp.seconds = timer.seconds();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.errors;
-    }
-    if (instruments_) instruments_->errors.inc();
+    m.errors.inc();
     finish(resp, metrics::RequestRecord::Outcome::kError, nullptr);
     return resp;
   }
@@ -287,7 +270,6 @@ ServiceResponse OptimizationService::submit(const std::string& graph_text,
   // the service has already solved cold needs no session work.
   if (options_.enable_cache) {
     if (auto hit = cache_.lookup(canonical)) {
-      trace::incr("service/hits", 1);
       resp.ok = true;
       resp.cache_hit = true;
       resp.optimized_text = std::move(hit->optimized_text);  // stored bytes, untouched
@@ -295,83 +277,59 @@ ServiceResponse OptimizationService::submit(const std::string& graph_text,
       resp.optimized_cost = hit->optimized_cost;
       resp.iterations = 0;
       resp.seconds = timer.seconds();
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.cache_hits;
-      }
-      if (instruments_) instruments_->cache_hits.inc();
+      m.cache_hits.inc();
       finish(resp, metrics::RequestRecord::Outcome::kHit, nullptr);
       return resp;
     }
-    trace::incr("service/misses", 1);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.cache_misses;
-    }
-    if (instruments_) instruments_->cache_misses.inc();
+    m.cache_misses.inc();
   }
 
+  // Both run paths end in extract_certified(), so one fill serves both.
   const bool use_session = options_.enable_sessions && !session_key.empty();
-  RunTelemetry tel;
-  ServiceResponse run = use_session ? run_in_session(input, session_key, &tel)
-                                    : run_sessionless(input, &tel);
-  run.fingerprint = resp.fingerprint;
-  run.request_id = resp.request_id;
+  const TensatResult run =
+      use_session ? run_in_session(input, session_key, &resp.session_reused)
+                  : run_sessionless(input);
+  resp.ok = run.ok;
+  resp.optimized_text = save_graph_to_string(run.optimized);
+  resp.original_cost = run.original_cost;
+  resp.optimized_cost = run.optimized_cost;
+  resp.iterations = run.explore.iterations;
 
   // Only cold-path results populate the cache: a session result depends on
   // the session's prior exploration, and a later hit must hand back exactly
   // what a fresh submission of the graph would have produced.
-  if (run.ok && !use_session && options_.enable_cache) {
+  if (!use_session && options_.enable_cache) {
     CachedResult entry;
-    entry.optimized_text = run.optimized_text;
-    entry.original_cost = run.original_cost;
-    entry.optimized_cost = run.optimized_cost;
-    entry.iterations = run.iterations;
-    entry.fingerprint = run.fingerprint;
+    entry.optimized_text = resp.optimized_text;
+    entry.original_cost = resp.original_cost;
+    entry.optimized_cost = resp.optimized_cost;
     cache_.insert(canonical, std::move(entry));
   }
-  run.seconds = timer.seconds();
-  finish(run,
+  resp.seconds = timer.seconds();
+  finish(resp,
          use_session ? metrics::RequestRecord::Outcome::kSession
                      : metrics::RequestRecord::Outcome::kCold,
-         &tel);
-  return run;
-}
-
-ServiceResponse OptimizationService::run_sessionless(const Graph& input,
-                                                     RunTelemetry* tel) {
-  ServiceResponse resp;
-  TensatOptions t = options_.tensat;
-  if (options_.enable_warm_starts) t.ilp.warm_cache = &warm_;
-  TensatResult result = optimize(input, rules_, model_, t);
-  resp.ok = result.ok;
-  if (result.ok) {
-    resp.optimized_text = save_graph_to_string(result.optimized);
-    resp.original_cost = result.original_cost;
-    resp.optimized_cost = result.optimized_cost;
-    resp.iterations = result.explore.iterations;
-  }
-  tel->explore = result.explore;
-  tel->has_explore = true;
-  tel->enodes_total = result.explore.enodes_total;
-  if (t.extractor == ExtractorKind::kIlp) {
-    tel->extract = result.extract_stats;
-    tel->has_extract = true;
-  }
+         &run);
   return resp;
 }
 
-ServiceResponse OptimizationService::run_in_session(const Graph& input,
-                                                    const std::string& key,
-                                                    RunTelemetry* tel) {
+TensatResult OptimizationService::run_sessionless(const Graph& input) {
+  TensatOptions t = options_.tensat;
+  if (options_.enable_warm_starts) t.ilp.warm_cache = &warm_;
+  return optimize(input, rules_, model_, t);
+}
+
+TensatResult OptimizationService::run_in_session(const Graph& input,
+                                                 const std::string& key,
+                                                 bool* reused_out) {
+  Instruments& m = *instruments_;
   std::shared_ptr<Session> session;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto& slot = sessions_[key];
     if (slot == nullptr) {
       slot = std::make_shared<Session>();
-      ++stats_.sessions_created;
-      if (instruments_) instruments_->sessions_created.inc();
+      m.sessions_created.inc();
     }
     session = slot;
   }
@@ -387,11 +345,7 @@ ServiceResponse OptimizationService::run_in_session(const Graph& input,
     session_enodes_.fetch_sub(static_cast<int64_t>(session->recorded_enodes),
                               std::memory_order_relaxed);
     session->recorded_enodes = 0;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.sessions_retired;
-    }
-    if (instruments_) instruments_->sessions_retired.inc();
+    m.sessions_retired.inc();
   }
 
   const bool reused = session->eg != nullptr;
@@ -411,47 +365,9 @@ ServiceResponse OptimizationService::run_in_session(const Graph& input,
   // the limit already and stop before its first iteration.
   t.node_limit = options_.tensat.node_limit + eg.num_enodes_total();
 
-  ServiceResponse resp;
   ExploreStats explore = run_exploration(eg, rules_, t, &session->exp);
-  resp.iterations = explore.iterations;
-  tel->explore = explore;
-  tel->has_explore = true;
-
-  const double original_cost = graph_cost(input, model_);
-  bool ok = false;
-  Graph optimized;
-  double optimized_cost = 0.0;
-  if (t.extractor == ExtractorKind::kGreedy) {
-    ExtractionResult ext = extract_greedy(eg, model_);
-    ok = ext.ok;
-    if (ext.ok) {
-      optimized = std::move(ext.graph);
-      optimized_cost = ext.cost;
-    }
-  } else {
-    EngineExtractionResult ilp = extract_engine(eg, model_, t.ilp);
-    ok = ilp.ok;
-    if (ilp.ok) {
-      optimized = std::move(ilp.graph);
-      optimized_cost = ilp.cost;
-    }
-    tel->extract = ilp.stats;
-    tel->has_extract = true;
-  }
-  // Same certificate optimize() gives: never worse than the request's input.
-  if (!ok || optimized_cost > original_cost) {
-    Graph fallback = input;
-    fallback.single_root();
-    optimized = std::move(fallback);
-    optimized_cost = original_cost;
-  }
-
-  resp.ok = true;
-  resp.session_reused = reused;
-  resp.optimized_text = save_graph_to_string(optimized);
-  resp.original_cost = original_cost;
-  resp.optimized_cost = optimized_cost;
-  ++session->runs;
+  TensatResult result = extract_certified(eg, input, model_, t);
+  result.explore = std::move(explore);
 
   // Maintain the service-wide live-e-node delta for the size gauge.
   const size_t now_enodes = eg.num_enodes_total();
@@ -460,22 +376,23 @@ ServiceResponse OptimizationService::run_in_session(const Graph& input,
           static_cast<int64_t>(session->recorded_enodes),
       std::memory_order_relaxed);
   session->recorded_enodes = now_enodes;
-  tel->enodes_total = now_enodes;
 
-  if (reused) {
-    trace::incr("service/sessions_reused", 1);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.sessions_reused;
-    }
-    if (instruments_) instruments_->sessions_reused.inc();
-  }
-  return resp;
+  if (reused) m.sessions_reused.inc();
+  *reused_out = reused;
+  return result;
 }
 
 ServiceStats OptimizationService::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  const Instruments& m = *instruments_;
+  ServiceStats s;
+  s.requests = m.requests.value();
+  s.errors = m.errors.value();
+  s.cache_hits = m.cache_hits.value();
+  s.cache_misses = m.cache_misses.value();
+  s.sessions_created = m.sessions_created.value();
+  s.sessions_reused = m.sessions_reused.value();
+  s.sessions_retired = m.sessions_retired.value();
+  return s;
 }
 
 size_t OptimizationService::live_sessions() const {

@@ -36,16 +36,14 @@
 // a session run (two requests naming the same session serialize; distinct
 // sessions run concurrently on the shared pool).
 //
-// Trace counters (trace/trace.h, aggregated per tracer):
-//   service/hits             result-cache hits
-//   service/misses           result-cache misses
-//   service/sessions_reused  requests that resumed an existing session
-//
-// Metrics (src/metrics/, always-on unless ServiceOptions::enable_metrics is
-// cleared): per-outcome submit latency histograms, hit-ratio / session /
-// pool gauges, MILP gap and fallback counters, and a flight recorder of
-// per-request records with slow-request Chrome-trace capture. Scrape with
-// metrics()->expose_prometheus() / expose_json(); see docs/OBSERVABILITY.md.
+// Metrics (src/metrics/, always on): the registry is the one place a
+// service event is counted. Its tensat_service_*_total counters (requests,
+// errors, cache hits and misses, sessions created, reused and retired) are
+// what stats() returns; next to them sit per-outcome submit latency
+// histograms, hit-ratio / session / pool gauges, MILP gap and fallback
+// counters, and a flight recorder of per-request records with slow-request
+// Chrome-trace capture. Scrape with metrics()->expose_prometheus() /
+// expose_json(); see docs/OBSERVABILITY.md.
 #pragma once
 
 #include <atomic>
@@ -81,10 +79,6 @@ struct ServiceOptions {
   /// e-nodes; 0 = 10x tensat.node_limit. Retirement drops the explored
   /// state — the next request on the key starts a fresh session.
   size_t session_node_cap = 0;
-  /// Metrics are on by default (that is the point of an always-on layer);
-  /// the switch exists so bench section 10 can measure its own overhead
-  /// gate against a genuinely uninstrumented service.
-  bool enable_metrics = true;
   /// Flight-recorder knobs (metrics::FlightRecorder::Options). A request
   /// slower than slow_threshold_s dumps a Chrome trace of its phase
   /// breakdown into slow_dump_dir; <= 0 disables capture (ring still on).
@@ -113,7 +107,8 @@ struct ServiceResponse {
   uint64_t request_id{0};
 };
 
-/// Service-lifetime counters (monotone; independent of the trace sink).
+/// Service-lifetime counters (monotone), read from the metrics registry's
+/// tensat_service_*_total counters of the same names.
 struct ServiceStats {
   size_t requests{0};
   size_t errors{0};            // rejected (malformed) submissions
@@ -146,24 +141,20 @@ class OptimizationService {
   [[nodiscard]] size_t warm_entries() const { return warm_.size(); }
   [[nodiscard]] size_t live_sessions() const;
 
-  /// The metrics registry / flight recorder, or nullptr when
-  /// ServiceOptions::enable_metrics is false. Scraping is thread-safe and
-  /// may run concurrently with submissions.
+  /// The metrics registry / flight recorder; never null. Scraping is
+  /// thread-safe and may run concurrently with submissions.
   [[nodiscard]] metrics::MetricsRegistry* metrics() const;
   [[nodiscard]] metrics::FlightRecorder* flight_recorder() const;
 
  private:
   struct Session;
   struct Instruments;
-  /// Per-run phase/stat payload handed back by the run paths so submit()'s
-  /// single finish point can feed the histograms and flight recorder.
-  struct RunTelemetry;
 
-  ServiceResponse run_sessionless(const Graph& input, RunTelemetry* tel);
-  ServiceResponse run_in_session(const Graph& input, const std::string& key,
-                                 RunTelemetry* tel);
+  TensatResult run_sessionless(const Graph& input);
+  TensatResult run_in_session(const Graph& input, const std::string& key,
+                              bool* reused);
   void finish(ServiceResponse& resp, metrics::RequestRecord::Outcome outcome,
-              const RunTelemetry* tel);
+              const TensatResult* run);
 
   const std::vector<Rewrite>& rules_;
   const CostModel& model_;
@@ -173,15 +164,14 @@ class OptimizationService {
   ResultCache cache_;
   MilpWarmCache warm_;
 
-  mutable std::mutex mutex_;  // guards sessions_ and stats_
+  mutable std::mutex mutex_;  // guards sessions_
   std::unordered_map<std::string, std::shared_ptr<Session>> sessions_;
-  ServiceStats stats_;
 
   std::atomic<uint64_t> next_request_id_{0};
   /// Live e-node total across all session e-graphs (delta-maintained by the
   /// session runs; drives the e-graph-size gauge without walking the table).
   std::atomic<int64_t> session_enodes_{0};
-  const std::unique_ptr<Instruments> instruments_;  // null = metrics off
+  const std::unique_ptr<Instruments> instruments_;  // never null
 };
 
 }  // namespace service

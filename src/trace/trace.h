@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -155,6 +156,12 @@ class Tracer {
 /// RAII scoped span: records [construction, destruction) under `name` on
 /// the installed tracer, or does nothing (one atomic load) when tracing is
 /// disabled. `arg` carries dynamic detail (rule/pattern/core index).
+///
+/// The `seconds` form is the one clock for a stats-struct phase field
+/// (ExploreStats::dmap_seconds and its siblings): it always times the
+/// scope and adds the duration to `seconds`. With a tracer installed that
+/// duration is the recorded span's own, so the field and the span total
+/// are one reading; without one, a Timer supplies it.
 class ScopedSpan {
  public:
   explicit ScopedSpan(const char* name)
@@ -165,9 +172,21 @@ class ScopedSpan {
       : tracer_(Tracer::current()), name_(name), arg_(arg), has_arg_(true) {
     if (tracer_ != nullptr) start_us_ = tracer_->now_us();
   }
-  ~ScopedSpan() {
+  ScopedSpan(const char* name, double& seconds)
+      : tracer_(Tracer::current()), name_(name), seconds_(&seconds) {
     if (tracer_ != nullptr)
-      tracer_->record_span(name_, start_us_, tracer_->now_us(), arg_, has_arg_);
+      start_us_ = tracer_->now_us();
+    else
+      timer_.emplace();
+  }
+  ~ScopedSpan() {
+    if (tracer_ != nullptr) {
+      const double end_us = tracer_->now_us();
+      tracer_->record_span(name_, start_us_, end_us, arg_, has_arg_);
+      if (seconds_ != nullptr) *seconds_ += (end_us - start_us_) * 1e-6;
+    } else if (seconds_ != nullptr) {
+      *seconds_ += timer_->seconds();
+    }
   }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
@@ -175,6 +194,8 @@ class ScopedSpan {
  private:
   Tracer* tracer_;
   const char* name_;
+  double* seconds_{nullptr};
+  std::optional<Timer> timer_;  // the clock for `seconds_` without a tracer
   double start_us_{0.0};
   int64_t arg_{0};
   bool has_arg_{false};

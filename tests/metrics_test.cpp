@@ -522,14 +522,74 @@ std::string small_graph_text() {
   return save_graph_to_string(g);
 }
 
-TEST(ServiceMetrics, DisabledMeansNoRegistry) {
-  service::ServiceOptions opt = fast_options();
-  opt.enable_metrics = false;
-  service::OptimizationService svc(default_rules(), model(), opt);
-  EXPECT_EQ(svc.metrics(), nullptr);
-  EXPECT_EQ(svc.flight_recorder(), nullptr);
-  // The uninstrumented path still serves.
-  EXPECT_TRUE(svc.submit(small_graph_text()).ok);
+/// stats() reads the registry, so every ServiceStats field must equal both
+/// its tensat_service_*_total counter and the count `want` expects.
+void expect_stats(const service::OptimizationService& svc,
+                  const service::ServiceStats& want) {
+  const service::ServiceStats got = svc.stats();
+  metrics::MetricsRegistry& reg = *svc.metrics();
+  const struct {
+    const char* counter;
+    size_t got;
+    size_t want;
+  } fields[] = {
+      {"tensat_service_requests_total", got.requests, want.requests},
+      {"tensat_service_errors_total", got.errors, want.errors},
+      {"tensat_service_cache_hits_total", got.cache_hits, want.cache_hits},
+      {"tensat_service_cache_misses_total", got.cache_misses,
+       want.cache_misses},
+      {"tensat_service_sessions_created_total", got.sessions_created,
+       want.sessions_created},
+      {"tensat_service_sessions_reused_total", got.sessions_reused,
+       want.sessions_reused},
+      {"tensat_service_sessions_retired_total", got.sessions_retired,
+       want.sessions_retired},
+  };
+  for (const auto& f : fields) {
+    EXPECT_EQ(f.got, f.want) << f.counter;
+    EXPECT_EQ(reg.counter(f.counter).value(), f.got) << f.counter;
+  }
+}
+
+TEST(ServiceMetrics, StatsEqualRegistryForEveryOutcome) {
+  const std::string text = small_graph_text();
+  // A session graph the cache has never seen, so every session submission
+  // is a miss that runs the session path.
+  Graph g = load_graph_from_string(text);
+  g.add_root(g.relu(g.input("p", {32, 32})));
+  const std::string session_text = save_graph_to_string(g);
+
+  {
+    service::OptimizationService svc(default_rules(), model(), fast_options());
+    ASSERT_FALSE(svc.submit(text).cache_hit);                   // miss
+    ASSERT_TRUE(svc.submit(text).cache_hit);                    // hit
+    ASSERT_FALSE(svc.submit("not a graph").ok);                 // malformed
+    ASSERT_FALSE(svc.submit(session_text, "s").session_reused);  // created
+    ASSERT_TRUE(svc.submit(session_text, "s").session_reused);   // resumed
+    service::ServiceStats want;
+    want.requests = 5;
+    want.errors = 1;
+    want.cache_hits = 1;
+    want.cache_misses = 3;
+    want.sessions_created = 1;
+    want.sessions_reused = 1;
+    expect_stats(svc, want);
+  }
+  {
+    // Any explored e-graph outgrows a cap of one e-node, so the second
+    // request retires the session and restarts it in place.
+    service::ServiceOptions opt = fast_options();
+    opt.session_node_cap = 1;
+    service::OptimizationService svc(default_rules(), model(), opt);
+    ASSERT_TRUE(svc.submit(session_text, "s").ok);                // created
+    ASSERT_FALSE(svc.submit(session_text, "s").session_reused);  // retired
+    service::ServiceStats want;
+    want.requests = 2;
+    want.cache_misses = 2;
+    want.sessions_created = 1;
+    want.sessions_retired = 1;
+    expect_stats(svc, want);
+  }
 }
 
 TEST(ServiceMetrics, OutcomesLatencyAndRequestIds) {

@@ -12,6 +12,7 @@
 //    extended to observability.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <sstream>
 #include <thread>
@@ -369,6 +370,52 @@ TEST(TraceDeterminism, ExtractionDigestIdenticalAcrossCoreThreads) {
   EXPECT_EQ(d1, extract_digest(8));
   EXPECT_NE(d1.find("span extract/core"), std::string::npos);
   EXPECT_NE(d1.find("total milp/bb_nodes"), std::string::npos);
+}
+
+TEST(TraceDeterminism, StatsSecondsEqualSpanTotals) {
+  // Each stats-struct phase field and its same-named span are one clock
+  // reading: the field is the summed duration of the spans, not a second
+  // Timer read beside them. The NasRNN setup of the digest test above forms
+  // MILP cores, so every extraction phase runs.
+  trace::Tracer tracer;
+  tracer.install();
+  EGraph eg = seed_egraph(make_nasrnn(1, 2, 8));
+  TensatOptions opt;
+  opt.k_max = 2;
+  opt.k_multi = 1;
+  opt.node_limit = 600;
+  const ExploreStats explore = run_exploration(eg, default_rules(), opt);
+  const T4CostModel model;
+  const EngineExtractionResult ext = extract_engine(eg, model, {});
+  tracer.uninstall();
+  ASSERT_TRUE(ext.ok);
+  EXPECT_GT(ext.stats.num_cores, 0u);
+
+  const trace::Summary summary = tracer.summary();
+  const auto span_seconds = [&](const char* name) {
+    for (const trace::Summary::SpanAgg& sp : summary.spans)
+      if (sp.name == name) return sp.total_us * 1e-6;
+    ADD_FAILURE() << "no " << name << " span";
+    return 0.0;
+  };
+  const auto expect_same = [](double field, double spans, const char* name) {
+    EXPECT_NEAR(field, spans, 1e-9 * std::max(field, spans)) << name;
+  };
+  expect_same(explore.dmap_seconds, span_seconds("explore/dmap"), "dmap");
+  expect_same(explore.search_seconds, span_seconds("explore/search"), "search");
+  expect_same(explore.rebuild_seconds, span_seconds("explore/rebuild"),
+              "rebuild");
+  expect_same(explore.cycle_sweep_seconds, span_seconds("explore/sweep"),
+              "cycle_sweep");
+  expect_same(ext.stats.reach_seconds, span_seconds("extract/reach"), "reach");
+  expect_same(ext.stats.reduce_seconds, span_seconds("extract/reduce"),
+              "reduce");
+  expect_same(ext.stats.solve_seconds, span_seconds("extract/solve"), "solve");
+  expect_same(ext.stats.stitch_seconds, span_seconds("extract/stitch"),
+              "stitch");
+  expect_same(ext.stats.lp_build_seconds,
+              span_seconds("extract/greedy") + span_seconds("extract/build"),
+              "lp_build");
 }
 
 TEST(RuleTelemetry, CountsAreInternallyConsistent) {
