@@ -76,22 +76,8 @@ void BM_EMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EMatch);
 
-// VM-vs-naive matcher comparison: the same search (every canonical pattern
-// of the default rule set against a BERT seed e-graph) through the naive
-// recursive backtracker and through the compiled e-matching VM. The VM
-// programs are precompiled, as in the exploration loop.
-void BM_EMatchAllRulesNaive(benchmark::State& state) {
-  EGraph eg = seed_egraph(make_bert(2, 32, 128));
-  const MultiPlan plan = build_multi_plan(default_rules());
-  for (auto _ : state) {
-    size_t total = 0;
-    for (const CanonicalPattern& cp : plan.patterns)
-      total += search_pattern_naive(eg, cp.pat, cp.root).size();
-    benchmark::DoNotOptimize(total);
-  }
-}
-BENCHMARK(BM_EMatchAllRulesNaive);
-
+// Every canonical pattern of the default rule set against a BERT seed
+// e-graph, programs precompiled as in the exploration loop.
 void BM_EMatchAllRulesVM(benchmark::State& state) {
   EGraph eg = seed_egraph(make_bert(2, 32, 128));
   const MultiPlan plan = build_multi_plan(default_rules());

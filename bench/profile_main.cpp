@@ -46,7 +46,8 @@ int usage(const char* argv0) {
   return 2;
 }
 
-/// The multi-pattern blow-up shape from bench_ematch_report: apply-heavy,
+/// The multi-pattern blow-up shape: 8 inputs, each feeding 12 matmuls, so
+/// every same-input pair matches the shared-operand rules. Apply-heavy,
 /// good for watching the plan/commit pipeline saturate.
 Graph make_sharedmm() {
   Graph g;

@@ -19,13 +19,12 @@
 //                         seconds (default 0 = capture off)
 //   --slow-dump-dir DIR   where slow-request Chrome traces land (default ".")
 //
-// The mix per round is tiny-BERT, tiny-NasRNN, and SharedMM — the same
-// shapes bench_ematch_report's service section measures at larger scale.
-// Round 1 is all cold; later rounds hit the result cache, and the session
-// leg resumes its e-graph, so a healthy run ends with hits > 0 and
-// sessions_reused > 0. Each round also prints a one-line stderr report
-// (p50/p99 latency, hit ratio, pool depth) — the periodic operator view a
-// long-lived deployment would log.
+// The mix per round is tiny-BERT, tiny-NasRNN, and SharedMM (a few
+// shared-input matmuls). Round 1 is all cold; later rounds hit the result
+// cache, and the session leg resumes its e-graph, so a healthy run ends
+// with hits > 0 and sessions_reused > 0. Each round also prints a one-line
+// stderr report (p50/p99 latency, hit ratio, pool depth) — the periodic
+// operator view a long-lived deployment would log.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -57,7 +56,8 @@ int usage(const char* argv0) {
   return 2;
 }
 
-/// SharedMM at smoke scale: the multi-pattern shape from bench_ematch_report.
+/// SharedMM at smoke scale: inputs each feeding several matmuls, the shape
+/// the shared-operand multi-pattern rules merge.
 Graph make_sharedmm_small() {
   Graph g;
   for (int grp = 0; grp < 2; ++grp) {

@@ -86,12 +86,12 @@ class IncrementalCycleAnalysis final : public ReachabilityMap {
   /// with a full reconstruction. `fallback_fraction`: advance_epoch() falls
   /// back to full reconstruction when the recompute set exceeds this
   /// fraction of the canonical class count. `threads`: worker count for the
-  /// full reconstruction's row-DP (rebuild_fresh computes rows in
-  /// topological waves on the shared pool; everything observable — slot
-  /// assignment, row contents, reaches() answers — is identical for any
-  /// value, see rebuild_fresh). The incremental repair itself stays serial:
-  /// its recompute sets are small by construction (past the fallback
-  /// threshold it *is* the full reconstruction).
+  /// full reconstruction's row-DP, 0 = one per hardware thread (rebuild_fresh
+  /// computes rows in topological waves on the shared pool; everything
+  /// observable — slot assignment, row contents, reaches() answers — is
+  /// identical for any value, see rebuild_fresh). The incremental repair
+  /// itself stays serial: its recompute sets are small by construction
+  /// (past the fallback threshold it *is* the full reconstruction).
   explicit IncrementalCycleAnalysis(EGraph& eg, double fallback_fraction = 0.5,
                                     size_t threads = 1);
   ~IncrementalCycleAnalysis() override;

@@ -68,9 +68,9 @@ size_t search_work_estimate(const EGraph& eg,
 /// so the sweep runs on the calling thread. Results are identical either
 /// way — this is purely a dispatch decision.
 ///
-/// History: 4096 when dispatching meant spawning std::threads (the
-/// BENCH_ematch.json "parallel" section measured 0.53-0.93x "speedups" on
-/// seed-sized graphs before the gate existed). The persistent
+/// History: 4096 when dispatching meant spawning std::threads (parallel
+/// sweeps of seed-sized graphs measured 0.53-0.93x "speedups" before the
+/// gate existed). The persistent
 /// work-stealing pool (support/pool.h) cut the dispatch cost from tens of
 /// microseconds per worker to about a microsecond total, so the
 /// break-even moved down an order of magnitude.

@@ -24,7 +24,7 @@
 // not a mode of it; it stays as the paper's literal formulation, the
 // differential oracle (tests/extract_test.cpp and tests/extract_fuzz_test
 // .cpp pin exact-cost parity on every instance both solve), following the
-// same convention as search_pattern_naive.
+// same convention as the naive matcher in tests/naive_matcher.h.
 #pragma once
 
 #include <cstdint>

@@ -50,6 +50,19 @@ struct SecondsGuard {
 /// worker count and scheduling cannot influence any plan.
 constexpr size_t kPlanChunk = 128;
 
+/// Fewest pending applications for which stage 1 fans its chunks out over
+/// the pool; smaller iterations plan every chunk on the calling thread
+/// (identical plans either way — only the dispatch changes). Measured
+/// break-even on a 4-core x86 host, median of 40 interleaved explorations
+/// at apply_threads 1 and 0 per iteration, over every iteration of 2+
+/// chunks of the seven Table-1 models (k_max 8, node limit 900) and of
+/// NasRNN, NasNet and BERT at service-mix and larger limits: the pool lost
+/// in 13 of 16 two-chunk iterations (134-242 applications, 0.50-0.86x), in
+/// 9 of 14 of three or four chunks (264-500, 0.50-0.99x), and in none of
+/// the 4 from 548 up (1.03-1.93x faster). Waking workers costs tens of
+/// microseconds, which is most of a small iteration's planning time.
+constexpr size_t kMinParallelPlanWork = 4 * kPlanChunk;
+
 struct PlanChunk {
   explicit PlanChunk(const EGraph& eg) : buf(eg) {}
   NodeBuffer buf;
@@ -436,7 +449,9 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
     std::atomic<bool> plan_timed_out{false};
     {
       const trace::ScopedSpan plan_span("explore/plan");
-      parallel_for(num_chunks, options.apply_threads, [&](size_t c) {
+      const size_t plan_threads =
+          apps.size() < kMinParallelPlanWork ? 1 : options.apply_threads;
+      parallel_for(num_chunks, plan_threads, [&](size_t c) {
         // Per-chunk span on the worker's own lane: the per-thread view of
         // stage-1 occupancy (arg = chunk index).
         const trace::ScopedSpan chunk_span("apply/plan_chunk",

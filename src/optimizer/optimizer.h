@@ -56,8 +56,9 @@ struct TensatOptions {
   /// thread. Any value yields a bit-identical e-graph: plans are independent
   /// and partitioned into index-based chunks, and the stage-2 commit replays
   /// them serially in plan order, which fixes the node insertion and merge
-  /// order regardless of worker scheduling. Iterations with fewer pending
-  /// applications than one chunk never spawn workers at all.
+  /// order regardless of worker scheduling. Iterations with fewer than 512
+  /// pending applications (kMinParallelPlanWork) plan on the calling
+  /// thread: below that, waking workers costs more than it saves.
   size_t apply_threads = 0;
   /// True (default) maintains the efficient cycle filter's descendants map
   /// and cycle sweep incrementally across iterations (cycles/incremental.h):
@@ -69,8 +70,7 @@ struct TensatOptions {
   /// sweeps the whole graph — the paper's literal Algorithm 2, kept as the
   /// differential baseline (tests/cycles_incremental_test.cpp proves the two
   /// modes produce identical reaches() relations, filtered-node sets, and
-  /// bit-identical e-graphs; bench_ematch_report's "cycles" section gates
-  /// incremental >= 1x fresh). Only meaningful with
+  /// bit-identical e-graphs). Only meaningful with
   /// CycleFilterMode::kEfficient; the epoch advance happens strictly at the
   /// serial boundary, so any apply_threads/search_threads value still yields
   /// a bit-identical e-graph.
@@ -140,14 +140,13 @@ struct ExploreStats {
   double seconds{0.0};
   /// Per-phase wall-clock breakdown of `seconds`, accumulated across
   /// iterations, so regressions can be pinned to the dominant phase
-  /// (BENCH_ematch.json records the apply and cycles shares). search = the
+  /// (perfbench reports each as a per-layer metric). search = the
   /// parallel pattern/joint searches; apply = match enumeration + the
   /// plan/commit pipeline; rebuild = congruence
   /// repair; dmap = descendants-map construction (fresh mode) or epoch
   /// advances (incremental mode); cycle_sweep = the post-rebuild cycle
-  /// filtering pass. dmap/cycle_sweep used to be folded into apply/rebuild;
-  /// they are split out so the incremental-vs-fresh cycle analysis gate can
-  /// measure exactly the work it replaces. search, rebuild, dmap and
+  /// filtering pass, split out of apply/rebuild so the cycle analysis is
+  /// timed on its own. search, rebuild, dmap and
   /// cycle_sweep are the summed durations of the explore/{search,rebuild,
   /// dmap,sweep} spans: one clock (trace::ScopedSpan) times both.
   double search_seconds{0.0};

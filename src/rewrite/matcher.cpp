@@ -5,100 +5,6 @@
 #include "support/check.h"
 
 namespace tensat {
-namespace {
-
-struct Matcher {
-  const EGraph& eg;
-  const Graph& pat;
-  size_t budget;
-  size_t steps_left;
-
-  /// Extends each subst in `in` with matches of pattern node `pid` against
-  /// e-class `cls`; appends results to `out`.
-  void match_node(Id pid, Id cls, const std::vector<Subst>& in,
-                  std::vector<Subst>& out) {
-    if (steps_left == 0) return;
-    --steps_left;
-    cls = eg.find(cls);
-    const TNode& p = pat.node(pid);
-    switch (p.op) {
-      case Op::kVar: {
-        for (const Subst& s : in) {
-          Subst next = s;
-          if (next.bind(p.str, cls) && out.size() < budget) out.push_back(std::move(next));
-        }
-        return;
-      }
-      case Op::kNum: {
-        const ValueInfo& d = eg.data(cls);
-        if (d.kind == VKind::kNum && d.num == p.num)
-          for (const Subst& s : in)
-            if (out.size() < budget) out.push_back(s);
-        return;
-      }
-      case Op::kStr: {
-        const ValueInfo& d = eg.data(cls);
-        if (d.kind == VKind::kStr && d.str == p.str)
-          for (const Subst& s : in)
-            if (out.size() < budget) out.push_back(s);
-        return;
-      }
-      default:
-        break;
-    }
-    // Operator pattern: try every (unfiltered) e-node of the class with the
-    // same operator; children constrain the substitution left to right.
-    for (const EClassNode& entry : eg.eclass(cls).nodes) {
-      if (entry.filtered || entry.node.op != p.op) continue;
-      std::vector<Subst> current = in;
-      for (size_t i = 0; i < p.children.size() && !current.empty(); ++i) {
-        std::vector<Subst> next;
-        match_node(p.children[i], entry.node.children[i], current, next);
-        current = std::move(next);
-      }
-      for (Subst& s : current)
-        if (out.size() < budget) out.push_back(std::move(s));
-    }
-  }
-};
-
-}  // namespace
-
-std::vector<Subst> match_class_naive(const EGraph& eg, const Graph& pat,
-                                     Id pattern_root, Id class_id,
-                                     const SearchLimits& limits) {
-  Matcher m{eg, pat, limits.max_matches == 0 ? SIZE_MAX : limits.max_matches,
-            limits.max_steps == 0 ? SIZE_MAX : limits.max_steps};
-  std::vector<Subst> out;
-  m.match_node(pattern_root, class_id, {Subst{}}, out);
-  return out;
-}
-
-std::vector<PatternMatch> search_pattern_naive(const EGraph& eg, const Graph& pat,
-                                               Id pattern_root,
-                                               const SearchLimits& limits) {
-  std::vector<PatternMatch> matches;
-  const size_t budget = limits.max_matches == 0 ? SIZE_MAX : limits.max_matches;
-  Matcher m{eg, pat, budget,
-            limits.max_steps == 0 ? SIZE_MAX : limits.max_steps};
-  for (Id cls : eg.canonical_classes()) {
-    if (matches.size() >= budget || m.steps_left == 0) break;
-    std::vector<Subst> found;
-    m.match_node(pattern_root, cls, {Subst{}}, found);
-    for (Subst& s : found) {
-      if (matches.size() >= budget) break;
-      matches.push_back(PatternMatch{cls, std::move(s)});
-    }
-  }
-  return matches;
-}
-
-std::vector<Subst> match_class(const EGraph& eg, const Graph& pat, Id pattern_root,
-                               Id class_id, const SearchLimits& limits) {
-  const ematch::Program prog = ematch::compile_pattern(pat, pattern_root);
-  return ematch::match_class(eg, prog, class_id,
-                             ematch::MatchLimits{limits.max_matches, limits.max_steps});
-}
 
 std::vector<PatternMatch> search_pattern(const EGraph& eg, const Graph& pat,
                                          Id pattern_root, const SearchLimits& limits) {

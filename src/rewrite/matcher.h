@@ -1,14 +1,12 @@
-// E-matching: finds all ways a pattern embeds in the e-graph. This is the
-// "existing efficient search routine for single-pattern rewrites" that
-// Algorithm 1 builds on; multi-pattern rules reuse it per source pattern and
-// combine the results (see multi.h).
+// E-matching and instantiation for single patterns: search_pattern finds
+// every way a pattern embeds in the e-graph (the "existing efficient search
+// routine for single-pattern rewrites" that Algorithm 1 builds on), and
+// instantiate / plan_instantiate build a rule's target under a match.
 //
-// The default entry points compile the pattern and execute it on the
-// register VM of src/ematch (op-indexed candidate selection, flat
-// instruction dispatch). The original recursive backtracker is kept as
-// search_pattern_naive / match_class_naive — it is the reference oracle the
-// VM is differentially tested against, and the baseline the e-matching
-// benchmarks measure speedups over.
+// search_pattern compiles the pattern and runs it on the register VM of
+// src/ematch (op-indexed candidate selection, flat instruction dispatch),
+// the one matcher in src/. Its differential oracle, a recursive
+// backtracker, lives in tests/naive_matcher.h.
 #pragma once
 
 #include <vector>
@@ -39,22 +37,6 @@ struct SearchLimits {
 std::vector<PatternMatch> search_pattern(const EGraph& eg, const Graph& pat,
                                          Id pattern_root,
                                          const SearchLimits& limits = {});
-
-/// Matches of the pattern against one specific e-class (via the ematch VM).
-std::vector<Subst> match_class(const EGraph& eg, const Graph& pat, Id pattern_root,
-                               Id class_id, const SearchLimits& limits = {});
-
-/// The legacy recursive backtracking matcher, kept as a reference oracle for
-/// differential testing and benchmarking. Semantically identical to
-/// search_pattern (same matches, same multiplicities).
-std::vector<PatternMatch> search_pattern_naive(const EGraph& eg, const Graph& pat,
-                                               Id pattern_root,
-                                               const SearchLimits& limits = {});
-
-/// Reference-oracle counterpart of match_class.
-std::vector<Subst> match_class_naive(const EGraph& eg, const Graph& pat,
-                                     Id pattern_root, Id class_id,
-                                     const SearchLimits& limits = {});
 
 /// Instantiates the pattern rooted at `root` into the e-graph under `subst`.
 /// Returns the resulting e-class, or nullopt if any new node fails the shape

@@ -20,8 +20,8 @@ struct OptimizationService::Session {
   std::mutex mutex;            // serializes runs on this session
   std::unique_ptr<EGraph> eg;  // heap-owned: must not move while journaled
   ExplorationSession exp;
-  /// E-node total last folded into the service-wide session_enodes_ delta
-  /// counter (so retirement/regrowth adjust by exact differences).
+  /// E-node total last added to the service-wide session_enodes gauge (so
+  /// retirement/regrowth adjust it by exact differences).
   size_t recorded_enodes{0};
 };
 
@@ -165,11 +165,13 @@ metrics::FlightRecorder* OptimizationService::flight_recorder() const {
 }
 
 /// The single exit point for submit(): observes the latency histogram for
-/// `outcome`, refreshes the scrape gauges, folds the run's extraction
-/// counters in, and appends the flight-recorder record (which may dump a
-/// slow-request trace). `run` is null for hits and errors. Greedy runs
-/// carry zeroed extraction stats with an infinite gap, so their extraction
-/// counters add nothing.
+/// `outcome`, refreshes the per-request gauges (hit ratio, pool), folds the
+/// run's extraction counters in, and appends the flight-recorder record
+/// (which may dump a slow-request trace). `run` is null for hits and
+/// errors. Greedy runs carry zeroed extraction stats with an infinite gap,
+/// so their extraction counters add nothing. The size gauges (cache and
+/// warm entries, live sessions, session e-nodes) are set where their values
+/// change, so a cache hit takes no lock here beyond the flight recorder's.
 void OptimizationService::finish(ServiceResponse& resp,
                                  metrics::RequestRecord::Outcome outcome,
                                  const TensatResult* run) {
@@ -188,19 +190,13 @@ void OptimizationService::finish(ServiceResponse& resp,
     if (has_gap) m.milp_gap.observe(x.gap);
   }
 
-  // Scrape gauges. Reading the service's own counters via the registry
-  // keeps Prometheus self-consistent (ratio derived from the same totals
-  // the scrape exposes).
+  // Reading the service's own counters via the registry keeps Prometheus
+  // self-consistent (ratio derived from the same totals the scrape exposes).
   const uint64_t hits = m.cache_hits.value();
   const uint64_t misses = m.cache_misses.value();
   if (hits + misses > 0)
     m.hit_ratio.set(static_cast<double>(hits) /
                     static_cast<double>(hits + misses));
-  m.cache_entries.set(static_cast<double>(cache_.size()));
-  m.warm_entries.set(static_cast<double>(warm_.size()));
-  m.sessions_live.set(static_cast<double>(live_sessions()));
-  m.session_enodes.set(
-      static_cast<double>(session_enodes_.load(std::memory_order_relaxed)));
 
   WorkStealingPool& pool = WorkStealingPool::global();
   m.pool_queue_depth.set(static_cast<double>(pool.queue_depth()));
@@ -289,6 +285,7 @@ ServiceResponse OptimizationService::submit(const std::string& graph_text,
   const TensatResult run =
       use_session ? run_in_session(input, session_key, &resp.session_reused)
                   : run_sessionless(input);
+  m.warm_entries.set(static_cast<double>(warm_.size()));
   resp.ok = run.ok;
   resp.optimized_text = save_graph_to_string(run.optimized);
   resp.original_cost = run.original_cost;
@@ -304,6 +301,7 @@ ServiceResponse OptimizationService::submit(const std::string& graph_text,
     entry.original_cost = resp.original_cost;
     entry.optimized_cost = resp.optimized_cost;
     cache_.insert(canonical, std::move(entry));
+    m.cache_entries.set(static_cast<double>(cache_.size()));
   }
   resp.seconds = timer.seconds();
   finish(resp,
@@ -330,6 +328,7 @@ TensatResult OptimizationService::run_in_session(const Graph& input,
     if (slot == nullptr) {
       slot = std::make_shared<Session>();
       m.sessions_created.inc();
+      m.sessions_live.set(static_cast<double>(sessions_.size()));
     }
     session = slot;
   }
@@ -342,8 +341,7 @@ TensatResult OptimizationService::run_in_session(const Graph& input,
       session->eg->num_enodes_total() > session_cap_) {
     session->exp = ExplorationSession{};
     session->eg.reset();
-    session_enodes_.fetch_sub(static_cast<int64_t>(session->recorded_enodes),
-                              std::memory_order_relaxed);
+    m.session_enodes.add(-static_cast<double>(session->recorded_enodes));
     session->recorded_enodes = 0;
     m.sessions_retired.inc();
   }
@@ -369,12 +367,10 @@ TensatResult OptimizationService::run_in_session(const Graph& input,
   TensatResult result = extract_certified(eg, input, model_, t);
   result.explore = std::move(explore);
 
-  // Maintain the service-wide live-e-node delta for the size gauge.
+  // Fold this session's growth into the service-wide e-node gauge.
   const size_t now_enodes = eg.num_enodes_total();
-  session_enodes_.fetch_add(
-      static_cast<int64_t>(now_enodes) -
-          static_cast<int64_t>(session->recorded_enodes),
-      std::memory_order_relaxed);
+  m.session_enodes.add(static_cast<double>(now_enodes) -
+                       static_cast<double>(session->recorded_enodes));
   session->recorded_enodes = now_enodes;
 
   if (reused) m.sessions_reused.inc();

@@ -168,9 +168,6 @@ class OptimizationService {
   std::unordered_map<std::string, std::shared_ptr<Session>> sessions_;
 
   std::atomic<uint64_t> next_request_id_{0};
-  /// Live e-node total across all session e-graphs (delta-maintained by the
-  /// session runs; drives the e-graph-size gauge without walking the table).
-  std::atomic<int64_t> session_enodes_{0};
   const std::unique_ptr<Instruments> instruments_;  // never null
 };
 

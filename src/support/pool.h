@@ -3,11 +3,11 @@
 // The exploration loop dispatches many sub-millisecond fork-join regions
 // (pattern sweeps, apply planning, cycle row-DP waves, extraction cores).
 // Spawning std::threads per region costs tens of microseconds each — more
-// than some whole regions — which is why the committed BENCH_ematch.json
-// parallel rows used to sit at ~1x. This pool starts its workers lazily,
-// keeps them alive for the process lifetime, and hands them work through
-// per-worker Chase-Lev deques, so dispatching a region costs roughly one
-// heap allocation plus a condition-variable wake.
+// than some whole regions — which is why parallel sweeps under the
+// thread-spawning loop this pool replaced sat at ~1x. The pool starts its
+// workers lazily, keeps them alive for the process lifetime, and hands them
+// work through per-worker Chase-Lev deques, so dispatching a region costs
+// roughly one heap allocation plus a condition-variable wake.
 //
 // Scheduling model ("invitations"):
 //   * A fork-join call (for_each) builds one heap-allocated Job — the item

@@ -21,8 +21,8 @@
 //
 // Cost model: with no tracer installed (the default), every instrumentation
 // point is one relaxed atomic load and a predictable branch — cheap enough
-// to leave in release hot paths (bench_ematch_report's "trace" section gates
-// tracing-*enabled* overhead at <= 5% on the explored-graph sweep; disabled
+// to leave in release hot paths (perfbench's trace.optimize_s against
+// optimize_s measures the tracing-*enabled* overhead end to end; disabled
 // overhead is unmeasurable). Event names must be string literals or other
 // storage outliving the tracer (interned symbols qualify); dynamic detail
 // goes in the int64 `arg`, never in the name.

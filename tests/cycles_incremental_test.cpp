@@ -12,6 +12,9 @@
 //    pass filters;
 //  * large fused regions must trip the full-reconstruction fallback without
 //    changing any answer;
+//  * a thread hint of 0 must resolve to the hardware count, so the full
+//    reconstruction's row-DP reaches the pool under the optimizer's
+//    default apply_threads;
 //  * the e-graph's CycleJournal must record every mutation class the
 //    analysis depends on (adds, apply-phase and congruence merges,
 //    filterings).
@@ -25,6 +28,7 @@
 #include "models/models.h"
 #include "optimizer/optimizer.h"
 #include "rewrite/rules.h"
+#include "support/parallel.h"
 #include "tests/egraph_fingerprint.h"
 
 namespace tensat {
@@ -277,6 +281,34 @@ TEST(CyclesIncremental, AddOnlyEpochSkipsSweepAndStaysExact) {
   EXPECT_FALSE(inc.reaches(static_cast<Id>(eg.num_ids()) + 5, base));
   EXPECT_FALSE(inc.reaches(base, static_cast<Id>(eg.num_ids()) + 5));
   EXPECT_FALSE(inc.reaches(kInvalidId, base));
+}
+
+// ---- Thread-count hint --------------------------------------------------------
+
+TEST(CyclesIncremental, ZeroThreadsRebuildsOnTheHardwarePool) {
+  // threads = 0 means one worker per hardware thread, as everywhere else
+  // (the optimizer passes TensatOptions::apply_threads, default 0): the
+  // full reconstruction's wide topological waves must reach the pool
+  // exactly as often as with that count spelled out.
+  EGraph eg = seed_egraph(shared_matmuls(8, 12));
+  TensatOptions opt;
+  opt.k_max = 3;
+  opt.k_multi = 1;
+  opt.node_limit = 6000;
+  run_exploration(eg, default_rules(), opt);
+
+  const auto pool_jobs = [&eg](size_t threads) {
+    const uint64_t before = WorkStealingPool::global().stats().jobs;
+    const IncrementalCycleAnalysis inc(eg, /*fallback_fraction=*/0.5, threads);
+    return WorkStealingPool::global().stats().jobs - before;
+  };
+  const size_t hw = resolve_threads(0);
+  const uint64_t hw_jobs = pool_jobs(hw);
+  // On a multi-core host the e-graph must have a wave heavy enough to
+  // dispatch (its 1120-row waves are), or the comparison below proves
+  // nothing.
+  if (hw > 1) EXPECT_GT(hw_jobs, 0u);
+  EXPECT_EQ(pool_jobs(0), hw_jobs);
 }
 
 // ---- Journal unit coverage ---------------------------------------------------

@@ -1,7 +1,8 @@
 // Tests for the compiled e-matching subsystem (src/ematch): pattern
 // compiler unit tests, VM behavior, BackoffScheduler ban/unban logic, and
 // the differential test proving the VM returns exactly the same match set
-// as the legacy recursive matcher across the full rule set.
+// as the recursive backtracking oracle (tests/naive_matcher.h) across the
+// full rule set.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,9 +15,9 @@
 #include "lang/parse.h"
 #include "models/models.h"
 #include "optimizer/optimizer.h"
-#include "rewrite/matcher.h"
 #include "rewrite/multi.h"
 #include "rewrite/rules.h"
+#include "tests/naive_matcher.h"
 
 namespace tensat {
 namespace {
@@ -192,16 +193,13 @@ std::string fingerprint(const EGraph& eg, const std::vector<PatternMatch>& match
 /// Asserts VM == naive for every canonical pattern of default_rules().
 void expect_parity(const EGraph& eg, const char* context) {
   const MultiPlan plan = build_multi_plan(default_rules());
-  SearchLimits unlimited;
-  unlimited.max_matches = 0;
-  unlimited.max_steps = 0;
   ematch::MatchLimits vm_unlimited;
   vm_unlimited.max_matches = 0;
   vm_unlimited.max_steps = 0;
   for (size_t p = 0; p < plan.patterns.size(); ++p) {
     const CanonicalPattern& cp = plan.patterns[p];
     const auto vm = ematch::search(eg, cp.program, vm_unlimited);
-    const auto naive = search_pattern_naive(eg, cp.pat, cp.root, unlimited);
+    const auto naive = naive_oracle::search_pattern_naive(eg, cp.pat, cp.root);
     EXPECT_EQ(fingerprint(eg, vm), fingerprint(eg, naive))
         << context << ": pattern " << cp.key;
   }

@@ -15,10 +15,10 @@
 #include "lang/parse.h"
 #include "models/models.h"
 #include "optimizer/optimizer.h"
-#include "rewrite/matcher.h"
 #include "rewrite/multi.h"
 #include "rewrite/rules.h"
 #include "support/parallel.h"
+#include "tests/naive_matcher.h"
 
 namespace tensat {
 namespace {
@@ -158,9 +158,6 @@ std::vector<JointMatch> cartesian_join(
 void expect_joint_parity(const EGraph& eg, const char* context) {
   const auto& rules = default_rules();
   const MultiPlan plan = build_multi_plan(rules);
-  SearchLimits unlimited;
-  unlimited.max_matches = 0;
-  unlimited.max_steps = 0;
   ematch::MatchLimits vm_unlimited;
   vm_unlimited.max_matches = 0;
   vm_unlimited.max_steps = 0;
@@ -168,7 +165,8 @@ void expect_joint_parity(const EGraph& eg, const char* context) {
     if (!rules[r].is_multi()) continue;
     std::vector<std::vector<PatternMatch>> per_source;
     for (Id src : rules[r].src_roots)
-      per_source.push_back(search_pattern_naive(eg, rules[r].pat, src, unlimited));
+      per_source.push_back(
+          naive_oracle::search_pattern_naive(eg, rules[r].pat, src));
     const auto baseline = cartesian_join(per_source);
     const auto joint = ematch::search_joint(eg, plan.joint_programs[r], vm_unlimited);
     EXPECT_EQ(fingerprint(eg, joint), fingerprint(eg, baseline))

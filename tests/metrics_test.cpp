@@ -551,6 +551,19 @@ void expect_stats(const service::OptimizationService& svc,
   }
 }
 
+/// The size gauges are set where the sizes change (cache insert, warm-cache
+/// store, session creation), not on every request, so after any outcome
+/// they must still read exactly what the service's own accessors report.
+void expect_size_gauges(const service::OptimizationService& svc) {
+  metrics::MetricsRegistry& reg = *svc.metrics();
+  EXPECT_EQ(reg.gauge("tensat_service_cache_entries").value(),
+            static_cast<double>(svc.cache_size()));
+  EXPECT_EQ(reg.gauge("tensat_service_warm_entries").value(),
+            static_cast<double>(svc.warm_entries()));
+  EXPECT_EQ(reg.gauge("tensat_service_sessions_live").value(),
+            static_cast<double>(svc.live_sessions()));
+}
+
 TEST(ServiceMetrics, StatsEqualRegistryForEveryOutcome) {
   const std::string text = small_graph_text();
   // A session graph the cache has never seen, so every session submission
@@ -562,10 +575,15 @@ TEST(ServiceMetrics, StatsEqualRegistryForEveryOutcome) {
   {
     service::OptimizationService svc(default_rules(), model(), fast_options());
     ASSERT_FALSE(svc.submit(text).cache_hit);                   // miss
+    expect_size_gauges(svc);
     ASSERT_TRUE(svc.submit(text).cache_hit);                    // hit
+    expect_size_gauges(svc);
     ASSERT_FALSE(svc.submit("not a graph").ok);                 // malformed
+    expect_size_gauges(svc);
     ASSERT_FALSE(svc.submit(session_text, "s").session_reused);  // created
+    expect_size_gauges(svc);
     ASSERT_TRUE(svc.submit(session_text, "s").session_reused);   // resumed
+    expect_size_gauges(svc);
     service::ServiceStats want;
     want.requests = 5;
     want.errors = 1;
@@ -582,7 +600,15 @@ TEST(ServiceMetrics, StatsEqualRegistryForEveryOutcome) {
     opt.session_node_cap = 1;
     service::OptimizationService svc(default_rules(), model(), opt);
     ASSERT_TRUE(svc.submit(session_text, "s").ok);                // created
+    expect_size_gauges(svc);
+    metrics::Gauge& enodes = svc.metrics()->gauge("tensat_service_session_enodes");
+    const double first_enodes = enodes.value();
+    EXPECT_GT(first_enodes, 0.0);
     ASSERT_FALSE(svc.submit(session_text, "s").session_reused);  // retired
+    expect_size_gauges(svc);
+    // Retirement subtracts the old e-graph and the restart adds a fresh
+    // exploration of the same graph, which grows to the same size.
+    EXPECT_EQ(enodes.value(), first_enodes);
     service::ServiceStats want;
     want.requests = 2;
     want.cache_misses = 2;
