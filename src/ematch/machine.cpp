@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <unordered_map>
 
-#include "support/parallel.h"
 #include "trace/trace.h"
 
 namespace tensat::ematch {
@@ -232,19 +231,6 @@ size_t search_work_estimate(const EGraph& eg,
     }
   }
   return work;
-}
-
-std::vector<std::vector<PatternMatch>> search_all(
-    const EGraph& eg, const std::vector<const Program*>& progs, size_t threads,
-    const MatchLimits& limits) {
-  // Below the work threshold, thread spawns cost more than the whole sweep:
-  // run on the calling thread. Identical results either way.
-  if (threads != 1 && search_work_estimate(eg, progs) < kMinParallelSearchWork)
-    threads = 1;
-  std::vector<std::vector<PatternMatch>> results(progs.size());
-  parallel_for(progs.size(), threads,
-               [&](size_t i) { results[i] = search(eg, *progs[i], limits); });
-  return results;
 }
 
 }  // namespace tensat::ematch

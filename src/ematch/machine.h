@@ -58,35 +58,25 @@ std::vector<JointMatch> search_joint(const EGraph& eg, const Program& prog,
 /// classes summed over the programs (the op-index bucket for operator roots,
 /// every canonical class for leaf roots, each kScan's candidates for joint
 /// programs). Cheap — bucket sizes are already maintained — and proportional
-/// to the number of VM entry points a sweep will try, which is what thread
-/// spawn overhead must amortize against.
+/// to the number of VM entry points a sweep will try, which is what waking
+/// pool workers must amortize against.
 size_t search_work_estimate(const EGraph& eg,
                             const std::vector<const Program*>& progs);
 
-/// Minimum search_work_estimate for which search_all dispatches its worker
-/// pool. Below it a sweep completes in well under the cost of a dispatch,
-/// so the sweep runs on the calling thread. Results are identical either
-/// way — this is purely a dispatch decision.
+/// Minimum search_work_estimate for which run_exploration dispatches an
+/// iteration's searches to the worker pool. Below it the sweep runs on the
+/// calling thread, where waking workers would cost more than it saves.
+/// Results are identical either way — this is purely a dispatch decision.
 ///
-/// History: 4096 when dispatching meant spawning std::threads (parallel
-/// sweeps of seed-sized graphs measured 0.53-0.93x "speedups" before the
-/// gate existed). The persistent
-/// work-stealing pool (support/pool.h) cut the dispatch cost from tens of
-/// microseconds per worker to about a microsecond total, so the
-/// break-even moved down an order of magnitude.
-constexpr size_t kMinParallelSearchWork = 256;
-
-/// Searches many programs against one read-only e-graph using up to `threads`
-/// workers (0 = hardware concurrency). results[i] always corresponds to
-/// progs[i] and is bit-identical to a serial ematch::search(eg, *progs[i]) —
-/// worker scheduling cannot reorder or change anything (each program's search
-/// is single-threaded and results merge by index), so any thread count
-/// produces the same output. Sweeps whose search_work_estimate falls below
-/// kMinParallelSearchWork run serially regardless of `threads`. The e-graph
-/// must be clean (rebuilt): on a clean e-graph every VM operation, union-find
-/// lookups included, is a pure read.
-std::vector<std::vector<PatternMatch>> search_all(
-    const EGraph& eg, const std::vector<const Program*>& progs, size_t threads,
-    const MatchLimits& limits = {});
+/// Measured break-even on a 4-core x86 host: the median of 40 interleaved
+/// explorations at search_threads 1 and 4 (floor forced to 0), per
+/// iteration, over every iteration of the seven Table-1 models at k_max 8,
+/// node limit 900 and at k_max 15, k_multi 2, node limit 50000, plus
+/// BERT(2,32,128); three runs, 267 iteration readings. Below 768 the pool
+/// lost in 43 of 54 readings (0.46-1.63x, median 0.80x); from 768 to 2047
+/// it won at a median 1.23x (17 of 72 lost), and from 2048 up at a median
+/// 1.79x (3 of 141 lost). Of the floors tried (256 to 1024), 768 gave the
+/// least summed search time.
+constexpr size_t kMinParallelSearchWork = 768;
 
 }  // namespace tensat::ematch

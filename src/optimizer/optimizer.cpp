@@ -329,9 +329,8 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
       limits.max_matches = scheduler.match_limit(r) + 1;
       tasks.push_back(SearchTask{true, r, limits, {r}});
     }
-    // Same dispatch gate as ematch::search_all: a sweep too small to
-    // amortize thread spawns runs on the calling thread (identical results
-    // either way — only the dispatch changes).
+    // A sweep too small to repay waking the pool runs on the calling
+    // thread (identical results either way — only the dispatch changes).
     size_t search_threads = options.search_threads;
     if (search_threads != 1) {
       std::vector<const ematch::Program*> progs;
@@ -380,56 +379,56 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
     // of node budget by the (cheap, plentiful) algebraic rules. Budgets and
     // bans depend only on the match sets, never on apply outcomes, so
     // collection needs no e-graph access at all.
-    Timer apply_timer;
-    std::vector<size_t> rule_order;
-    for (size_t r = 0; r < rules.size(); ++r)
-      if (rules[r].is_multi()) rule_order.push_back(r);
-    for (size_t r = 0; r < rules.size(); ++r)
-      if (!rules[r].is_multi()) rule_order.push_back(r);
-
-    // Collect is timed with an explicit record (not ScopedSpan) because the
-    // loop and the later stages share this scope.
-    trace::Tracer* const tracer = trace::Tracer::current();
-    const double collect_start_us = tracer != nullptr ? tracer->now_us() : 0.0;
+    //
+    // apply_seconds is the sum of the collect, plan and commit spans.
     std::vector<Application> apps;
-    for (size_t r : rule_order) {
-      // Enumeration of a huge match set can itself be slow; a coarse
-      // per-rule check keeps collect bounded by the time limit (stage 2
-      // notices the blown limit and records the stop reason).
-      if (timer.seconds() > options.explore_time_limit_s) break;
-      const Rewrite& rule = rules[r];
-      if (!rule_active(r)) continue;
-      const SecondsGuard rule_guard(stats.rules[r].seconds);
-      const size_t budget = scheduler.match_limit(r);
-      size_t found = 0;
-      // Queues one match tuple; false once the budget is blown (stop there:
-      // record_matches below imposes the ban).
-      const auto queue = [&](std::vector<Id> roots, Subst subst) {
-        ++found;
-        ++stats.rules[r].matches;
-        if (found > budget) return false;
-        ++stats.rules[r].planned;
-        apps.push_back(Application{&rule, r, std::move(roots), std::move(subst)});
-        return true;
-      };
-      if (rule.is_multi()) {
-        // The joint search already produced the compatible combinations,
-        // shared variables bound once (Algorithm 1 lines 16-20).
-        for (const ematch::JointMatch& jm : joint_matches[r]) {
-          ++stats.multi_matches_found;
-          if (!queue(jm.roots, jm.subst)) break;
+    {
+      const trace::ScopedSpan collect_span("explore/collect",
+                                           stats.apply_seconds);
+      std::vector<size_t> rule_order;
+      for (size_t r = 0; r < rules.size(); ++r)
+        if (rules[r].is_multi()) rule_order.push_back(r);
+      for (size_t r = 0; r < rules.size(); ++r)
+        if (!rules[r].is_multi()) rule_order.push_back(r);
+      for (size_t r : rule_order) {
+        // Enumeration of a huge match set can itself be slow; a coarse
+        // per-rule check keeps collect bounded by the time limit (stage 2
+        // notices the blown limit and records the stop reason).
+        if (timer.seconds() > options.explore_time_limit_s) break;
+        const Rewrite& rule = rules[r];
+        if (!rule_active(r)) continue;
+        const SecondsGuard rule_guard(stats.rules[r].seconds);
+        const size_t budget = scheduler.match_limit(r);
+        size_t found = 0;
+        // Queues one match tuple; false once the budget is blown (stop there:
+        // record_matches below imposes the ban).
+        const auto queue = [&](std::vector<Id> roots, Subst subst) {
+          ++found;
+          ++stats.rules[r].matches;
+          if (found > budget) return false;
+          ++stats.rules[r].planned;
+          apps.push_back(
+              Application{&rule, r, std::move(roots), std::move(subst)});
+          return true;
+        };
+        if (rule.is_multi()) {
+          // The joint search already produced the compatible combinations,
+          // shared variables bound once (Algorithm 1 lines 16-20).
+          for (const ematch::JointMatch& jm : joint_matches[r]) {
+            ++stats.multi_matches_found;
+            if (!queue(jm.roots, jm.subst)) break;
+          }
+        } else {
+          // De-canonicalize the pattern's matches (Algorithm 1 lines 12-15).
+          const SourceBinding& sb = plan.rule_sources[r][0];
+          for (const PatternMatch& m : matches[sb.pattern_index])
+            if (!queue({m.root}, decanonicalize(m.subst, sb.rename))) break;
         }
-      } else {
-        // De-canonicalize the pattern's matches (Algorithm 1 lines 12-15).
-        const SourceBinding& sb = plan.rule_sources[r][0];
-        for (const PatternMatch& m : matches[sb.pattern_index])
-          if (!queue({m.root}, decanonicalize(m.subst, sb.rename))) break;
+        if (scheduler.record_matches(r, iter_base + static_cast<size_t>(iter),
+                                     found))
+          ++stats.bans, ++stats.rules[r].bans;
       }
-      if (scheduler.record_matches(r, iter_base + static_cast<size_t>(iter), found))
-        ++stats.bans, ++stats.rules[r].bans;
     }
-    if (tracer != nullptr)
-      tracer->record_span("explore/collect", collect_start_us, tracer->now_us());
 
     // STAGE 1 (parallel, read-only): chunks of applications plan against the
     // clean e-graph; workers share only the e-graph and the descendants map.
@@ -437,9 +436,7 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
     // their plans are not.
     const size_t num_chunks = (apps.size() + kPlanChunk - 1) / kPlanChunk;
     std::vector<PlanChunk> chunks;
-    chunks.reserve(num_chunks);
-    for (size_t c = 0; c < num_chunks; ++c) chunks.emplace_back(eg);
-    std::vector<ApplyPlan> plans(apps.size());
+    std::vector<ApplyPlan> plans;
     // Rule conditions are arbitrary user callbacks, so planning itself can
     // blow the time limit: every worker re-checks it per application and the
     // abort flag stops the rest of the pool. Un-planned applications simply
@@ -448,7 +445,10 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
     // the e-graph.)
     std::atomic<bool> plan_timed_out{false};
     {
-      const trace::ScopedSpan plan_span("explore/plan");
+      const trace::ScopedSpan plan_span("explore/plan", stats.apply_seconds);
+      chunks.reserve(num_chunks);
+      for (size_t c = 0; c < num_chunks; ++c) chunks.emplace_back(eg);
+      plans.resize(apps.size());
       const size_t plan_threads =
           apps.size() < kMinParallelPlanWork ? 1 : options.apply_threads;
       parallel_for(num_chunks, plan_threads, [&](size_t c) {
@@ -477,7 +477,8 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
     bool hit_node_limit = false;
     bool hit_time_limit = false;
     {
-      const trace::ScopedSpan commit_span("explore/commit");
+      const trace::ScopedSpan commit_span("explore/commit",
+                                          stats.apply_seconds);
       std::vector<Id> committed;
       for (size_t i = 0; i < apps.size(); ++i) {
         if (eg.num_enodes_total() >= options.node_limit) {
@@ -499,8 +500,12 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
         }
         rt.nodes_added += eg.num_enodes_total() - nodes_before;
       }
+      // Free the staging arenas and applications inside the span: on large
+      // iterations the teardown is a measurable share of the apply phase.
+      chunks.clear();
+      plans.clear();
+      apps.clear();
     }
-    stats.apply_seconds += apply_timer.seconds();
 
     // STAGE 3: restore congruence, then filter cycles.
     {
@@ -616,7 +621,7 @@ TensatResult extract_certified(const EGraph& eg, const Graph& input,
     result.ok = result.ilp.ok;
     result.extract_stats = result.ilp.stats;
     if (result.ilp.ok) {
-      result.optimized = result.ilp.graph;
+      result.optimized = std::move(result.ilp.graph);
       result.optimized_cost = result.ilp.cost;
     }
   }

@@ -142,13 +142,13 @@ struct ExploreStats {
   /// iterations, so regressions can be pinned to the dominant phase
   /// (perfbench reports each as a per-layer metric). search = the
   /// parallel pattern/joint searches; apply = match enumeration + the
-  /// plan/commit pipeline; rebuild = congruence
-  /// repair; dmap = descendants-map construction (fresh mode) or epoch
-  /// advances (incremental mode); cycle_sweep = the post-rebuild cycle
+  /// plan/commit pipeline, including freeing its staging arenas; rebuild =
+  /// congruence repair; dmap = descendants-map construction (fresh mode) or
+  /// epoch advances (incremental mode); cycle_sweep = the post-rebuild cycle
   /// filtering pass, split out of apply/rebuild so the cycle analysis is
-  /// timed on its own. search, rebuild, dmap and
-  /// cycle_sweep are the summed durations of the explore/{search,rebuild,
-  /// dmap,sweep} spans: one clock (trace::ScopedSpan) times both.
+  /// timed on its own. Each is the summed duration of its spans — apply of
+  /// explore/{collect,plan,commit}, the others of explore/{search,rebuild,
+  /// dmap,sweep}: one clock (trace::ScopedSpan) times both.
   double search_seconds{0.0};
   double apply_seconds{0.0};
   double rebuild_seconds{0.0};
@@ -217,7 +217,9 @@ struct TensatResult {
   /// search/apply/rebuild split. Filled for ILP extraction; zero for greedy
   /// extraction.
   ExtractStats extract_stats;
-  EngineExtractionResult ilp;  // populated when extractor == kIlp
+  /// Populated when extractor == kIlp, except `ilp.graph`: the extracted
+  /// graph is moved into `optimized`, so it is not held twice.
+  EngineExtractionResult ilp;
 };
 
 /// The full pipeline: seed e-graph from `input`, explore, extract.

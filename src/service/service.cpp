@@ -41,7 +41,6 @@ struct OptimizationService::Instruments {
   metrics::Counter& fallback_cores;
   metrics::Counter& warm_start_hits;
   metrics::Counter& refactorizations;
-  metrics::Counter& pool_steals;
 
   metrics::Gauge& hit_ratio;
   metrics::Gauge& cache_entries;
@@ -57,8 +56,6 @@ struct OptimizationService::Instruments {
   metrics::Histogram& latency_session;
   metrics::Histogram& latency_error;
   metrics::Histogram& milp_gap;
-
-  std::atomic<uint64_t> last_pool_steals{0};
 
   explicit Instruments(metrics::FlightRecorder::Options flight_opts)
       : flight(std::move(flight_opts)),
@@ -87,8 +84,6 @@ struct OptimizationService::Instruments {
         refactorizations(registry.counter(
             "tensat_service_refactorizations_total", {},
             "Sparse-basis refactorizations across MILP node LPs")),
-        pool_steals(registry.counter("tensat_service_pool_steals_total", {},
-                                     "Work-stealing pool deque steals")),
         hit_ratio(registry.gauge("tensat_service_cache_hit_ratio", {},
                                  "Lifetime result-cache hit ratio")),
         cache_entries(registry.gauge("tensat_service_cache_entries", {},
@@ -102,9 +97,9 @@ struct OptimizationService::Instruments {
             "E-nodes held across all live session e-graphs")),
         pool_queue_depth(registry.gauge(
             "tensat_service_pool_queue_depth", {},
-            "Pending invitations across all pool lanes")),
+            "Pool invitations waiting for an idle worker")),
         pool_workers(registry.gauge("tensat_service_pool_workers", {},
-                                    "Work-stealing pool worker threads")),
+                                    "Worker pool threads")),
         latency_hit(submit_histogram("hit")),
         latency_cold(submit_histogram("cold")),
         latency_session(submit_histogram("session")),
@@ -198,18 +193,9 @@ void OptimizationService::finish(ServiceResponse& resp,
     m.hit_ratio.set(static_cast<double>(hits) /
                     static_cast<double>(hits + misses));
 
-  WorkStealingPool& pool = WorkStealingPool::global();
+  const WorkerPool& pool = WorkerPool::global();
   m.pool_queue_depth.set(static_cast<double>(pool.queue_depth()));
   m.pool_workers.set(static_cast<double>(pool.worker_count()));
-  // Concurrent requests can read the pool's steal total in one order and
-  // publish it in the other, so `last_pool_steals` only ever moves forward:
-  // each steal is added exactly once, by whichever request first saw it.
-  const uint64_t steals = pool.stats().steals;
-  uint64_t prev = m.last_pool_steals.load(std::memory_order_relaxed);
-  while (steals > prev && !m.last_pool_steals.compare_exchange_weak(
-                              prev, steals, std::memory_order_relaxed)) {
-  }
-  if (steals > prev) m.pool_steals.add(steals - prev);
 
   metrics::RequestRecord rec;
   rec.request_id = resp.request_id;

@@ -1,14 +1,14 @@
 // Fork-join fan-out for the exploration loop: runs fn(0..n-1) across the
-// persistent work-stealing pool (support/pool.h) fed by an atomic chunk
-// cursor. Built for the pattern searches, apply planning, cycle row-DP, and
+// persistent worker pool (support/pool.h) fed by an atomic chunk cursor.
+// Built for the pattern searches, apply planning, cycle row-DP, and
 // extraction cores, where determinism comes from the caller writing results
 // into per-index slots and merging in index order — worker scheduling then
 // cannot influence anything observable.
 //
 // parallel_for used to spawn fresh std::threads per call; dispatch cost
 // (tens of microseconds per thread) exceeded many whole sub-millisecond
-// regions. The pool-backed version dispatches in ~1 allocation + a condvar
-// wake.
+// regions. The pool-backed version dispatches in ~1 allocation, one queue
+// push and a condvar wake.
 #pragma once
 
 #include <algorithm>
@@ -35,7 +35,7 @@ inline size_t resolve_threads(size_t hint) {
 }
 
 /// Runs fn(i) for every i in [0, n) using up to `threads` participants of
-/// the process-wide work-stealing pool (0 = one per hardware thread; the
+/// the process-wide worker pool (0 = one per hardware thread; the
 /// calling thread always participates). Items are claimed in chunks from an
 /// atomic cursor, so the item-to-worker assignment is nondeterministic — fn
 /// must only write state owned by its own index. Returns only once every
@@ -51,7 +51,7 @@ void parallel_for(size_t n, size_t threads, Fn&& fn) {
     return;
   }
   using F = std::remove_reference_t<Fn>;
-  WorkStealingPool::global().for_each(
+  WorkerPool::global().for_each(
       n, threads, [](void* ctx, size_t i) { (*static_cast<F*>(ctx))(i); },
       const_cast<void*>(static_cast<const void*>(std::addressof(fn))));
 }

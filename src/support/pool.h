@@ -1,27 +1,23 @@
-// A persistent work-stealing pool behind parallel_for (support/parallel.h).
+// A persistent worker pool behind parallel_for (support/parallel.h).
 //
 // The exploration loop dispatches many sub-millisecond fork-join regions
 // (pattern sweeps, apply planning, cycle row-DP waves, extraction cores).
 // Spawning std::threads per region costs tens of microseconds each — more
 // than some whole regions — which is why parallel sweeps under the
 // thread-spawning loop this pool replaced sat at ~1x. The pool starts its
-// workers lazily, keeps them alive for the process lifetime, and hands them
-// work through per-worker Chase-Lev deques, so dispatching a region costs
-// roughly one heap allocation plus a condition-variable wake.
+// workers lazily and keeps them alive for the process lifetime, so
+// dispatching a region costs roughly one heap allocation, one queue push
+// and a condition-variable wake.
 //
 // Scheduling model ("invitations"):
 //   * A fork-join call (for_each) builds one heap-allocated Job — the item
-//     cursor, completion count, and error slot — and publishes
-//     `participants - 1` *invitations* to it: Job pointers pushed onto the
-//     calling worker's own deque (or onto a mutex-guarded injection queue
-//     when the caller is not a pool worker, e.g. the main thread).
-//   * Each invitation entitles exactly one worker to join that job, so a
-//     job's concurrency never exceeds the participant count the caller
+//     cursor, completion count, and error slot — and pushes
+//     `participants - 1` *invitations* to it (Job pointers) onto the pool's
+//     one mutex-guarded FIFO queue, whichever thread calls it.
+//   * Each invitation entitles exactly one idle worker to join that job, so
+//     a job's concurrency never exceeds the participant count the caller
 //     asked for, even while unrelated jobs run on the same pool.
-//   * Idle workers pop their own deque from the bottom and steal from
-//     other workers' deques from the top (Chase-Lev); both ends fall back
-//     to the injection queue.
-//   * Workers joining a job claim *chunks* of the index space from the
+//   * Threads joining a job claim *chunks* of the index space from the
 //     job's atomic cursor. The item-to-worker assignment is therefore
 //     nondeterministic — exactly the contract parallel_for always had:
 //     callers write per-index slots and merge in index order.
@@ -36,7 +32,8 @@
 // Nested submission is deadlock-free: the caller of for_each always
 // participates and drives its own job's cursor to exhaustion, so a job can
 // only ever wait on chunks that other threads are *actively executing* —
-// never on an invitation nobody accepted.
+// never on an invitation nobody accepted. A worker that calls for_each
+// therefore needs no queue of its own.
 //
 // The caller never blocks on invitation pickup: once the last chunk
 // completes, for_each returns and leftover invitations become no-ops
@@ -48,7 +45,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -57,56 +53,19 @@ namespace tensat {
 
 namespace pool_detail {
 struct Job;
-
-/// Chase-Lev work-stealing deque of Job invitations. The owning worker
-/// pushes and pops at the bottom; any thread may steal from the top. Cell
-/// accesses are release/acquire so the publication of the pointed-to Job is
-/// carried by the cell itself (keeps TSan's happens-before graph exact);
-/// top/bottom use seq_cst — this is the textbook algorithm, deliberately
-/// not the fence-minimized variant.
-class InvitationDeque {
- public:
-  InvitationDeque();
-  ~InvitationDeque();
-  InvitationDeque(const InvitationDeque&) = delete;
-  InvitationDeque& operator=(const InvitationDeque&) = delete;
-
-  void push(Job* job);  // owner thread only
-  Job* pop();           // owner thread only
-  Job* steal();         // any thread; nullptr on empty or lost race
-  size_t size() const;  // approximate (racy read of both ends)
-
- private:
-  struct Buf {
-    explicit Buf(int64_t c) : cap(c), mask(c - 1), cells(new std::atomic<Job*>[c]) {}
-    const int64_t cap;
-    const int64_t mask;  // cap is a power of two
-    std::unique_ptr<std::atomic<Job*>[]> cells;
-  };
-
-  void grow(Buf* old, int64_t top, int64_t bottom);  // owner thread only
-
-  std::atomic<int64_t> top_{0};
-  std::atomic<int64_t> bottom_{0};
-  std::atomic<Buf*> buf_;
-  // Replaced buffers stay alive until the deque dies: a stealer may still
-  // be reading a cell of an old buffer; its CAS on top_ rejects stale wins.
-  std::vector<std::unique_ptr<Buf>> retired_;  // owner thread only
-};
-
 }  // namespace pool_detail
 
-class WorkStealingPool {
+class WorkerPool {
  public:
   /// The process-wide pool shared by search, apply planning, the cycle
   /// row-DP, and extraction cores. Constructed on first use (no workers
   /// until the first multi-participant job); destroyed — workers joined —
   /// at static destruction, so LSan/TSan see a clean shutdown.
-  static WorkStealingPool& global();
+  static WorkerPool& global();
 
-  ~WorkStealingPool();
-  WorkStealingPool(const WorkStealingPool&) = delete;
-  WorkStealingPool& operator=(const WorkStealingPool&) = delete;
+  ~WorkerPool();
+  WorkerPool(const WorkerPool&) = delete;
+  WorkerPool& operator=(const WorkerPool&) = delete;
 
   using RawFn = void (*)(void* ctx, size_t index);
 
@@ -121,19 +80,15 @@ class WorkStealingPool {
 
   /// Cumulative telemetry (monotone, process lifetime).
   struct Stats {
-    uint64_t jobs = 0;         // for_each calls that took the parallel path
-    uint64_t invitations = 0;  // invitations published
-    uint64_t steals = 0;       // successful deque steals
+    uint64_t jobs = 0;  // for_each calls that took the parallel path
   };
   Stats stats() const;
 
-  /// Pending invitations across the whole pool: every worker deque plus the
-  /// injection queue. Approximate (each deque is read racily while owners
-  /// push/pop), but covers ALL lanes — unlike a single worker's own deque,
-  /// which is empty almost by definition whenever that worker is the one
-  /// asking. This is the number the pool-utilization gauge wants: how much
-  /// published work is waiting for a thread, wherever it is queued.
-  size_t queue_depth() const;
+  /// Invitations waiting in the queue for an idle worker. Lock-free: read
+  /// per traced dispatch and per service request.
+  size_t queue_depth() const {
+    return queue_size_.load(std::memory_order_relaxed);
+  }
 
   size_t worker_count() const {
     return worker_count_.load(std::memory_order_acquire);
@@ -143,45 +98,25 @@ class WorkStealingPool {
   static constexpr size_t kMaxWorkers = 64;
 
  private:
-  struct Worker {
-    pool_detail::InvitationDeque deque;
-    std::thread thread;
-    size_t index = 0;
-  };
-
-  WorkStealingPool() = default;
+  WorkerPool() = default;
 
   void ensure_workers(size_t want);
-  void submit(pool_detail::Job* job, size_t invitations);
-  pool_detail::Job* find_work(Worker* self);
-  void worker_loop(Worker* self);
+  void worker_loop();
 
-  // Fixed-capacity slot array so stealers can scan concurrently with lazy
-  // spawning: slots [0, worker_count_) are fully constructed (release/
-  // acquire on the count publishes them).
-  std::unique_ptr<Worker> workers_[kMaxWorkers];
-  std::atomic<size_t> worker_count_{0};
-  std::mutex spawn_mu_;
-
-  // Submission path for non-worker callers (the main thread, test threads).
-  // injected_size_ mirrors injected_.size() (updated under inject_mu_ at
-  // every push/pop) so queue_depth() can read the backlog without taking
-  // the lock — it is sampled per traced dispatch.
-  std::mutex inject_mu_;
-  std::deque<pool_detail::Job*> injected_;
-  std::atomic<size_t> injected_size_{0};
-
-  // Sleep/wake. Producers take sleep_mu_ around the notify and sleepers
-  // re-scan for work under it before waiting, so a wake can never be lost;
-  // a missed invitation would otherwise only cost parallelism (the caller
-  // self-completes), but there is no reason to accept even that.
-  std::mutex sleep_mu_;
-  std::condition_variable sleep_cv_;
+  // Guards the queue, stop_ and threads_. Workers sleep on cv_ until the
+  // queue is nonempty or stop_ is set; at shutdown they drain the queue
+  // (stale invitations, no-ops by then) before they exit.
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<pool_detail::Job*> queue_;
   bool stop_ = false;
+  std::vector<std::thread> threads_;
 
+  // Mirrors of queue_.size() and threads_.size(), stored under mu_, so the
+  // accessors above and for_each's spawn check read them without the lock.
+  std::atomic<size_t> queue_size_{0};
+  std::atomic<size_t> worker_count_{0};
   std::atomic<uint64_t> jobs_{0};
-  std::atomic<uint64_t> invitations_{0};
-  std::atomic<uint64_t> steals_{0};
 };
 
 }  // namespace tensat

@@ -46,8 +46,8 @@ namespace tensat::trace {
 /// can never be left dangling by an early return.
 ///
 /// kStat is a counter sample whose *value* is inherently scheduling-
-/// dependent (work-stealing pool queue depths, steal counts): it renders in
-/// the Chrome trace like a counter but is excluded from
+/// dependent (worker-pool queue depths): it renders in the Chrome trace
+/// like a counter but is excluded from
 /// Summary::deterministic_digest(), so pool telemetry can never break the
 /// cross-thread-count digest pins. Use kCounter for values the determinism
 /// contract covers, kStat for values it cannot.

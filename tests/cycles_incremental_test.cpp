@@ -298,9 +298,9 @@ TEST(CyclesIncremental, ZeroThreadsRebuildsOnTheHardwarePool) {
   run_exploration(eg, default_rules(), opt);
 
   const auto pool_jobs = [&eg](size_t threads) {
-    const uint64_t before = WorkStealingPool::global().stats().jobs;
+    const uint64_t before = WorkerPool::global().stats().jobs;
     const IncrementalCycleAnalysis inc(eg, /*fallback_fraction=*/0.5, threads);
-    return WorkStealingPool::global().stats().jobs - before;
+    return WorkerPool::global().stats().jobs - before;
   };
   const size_t hw = resolve_threads(0);
   const uint64_t hw_jobs = pool_jobs(hw);

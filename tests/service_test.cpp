@@ -21,7 +21,6 @@
 #include "service/fingerprint.h"
 #include "service/service.h"
 #include "support/check.h"
-#include "support/pool.h"
 
 namespace tensat {
 namespace {
@@ -517,10 +516,6 @@ TEST(ServiceStress, ConcurrentMixedSubmissions) {
             static_cast<size_t>(kThreads * kPerThread) + graphs.size());
   EXPECT_EQ(stats.errors, static_cast<size_t>(kThreads * (kPerThread / 3)));
   EXPECT_GT(stats.cache_hits, 0u);
-  // Each pool steal is counted once however the concurrent requests
-  // interleave their reads of the pool total.
-  EXPECT_LE(svc.metrics()->counter("tensat_service_pool_steals_total").value(),
-            WorkStealingPool::global().stats().steals);
 }
 
 }  // namespace

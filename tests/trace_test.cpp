@@ -198,27 +198,28 @@ TEST(Tracer, CrossThreadMergeIsDeterministic) {
 }
 
 TEST(Tracer, StatsSurfaceInSummaryButNotInDigest) {
-  // kStat events carry scheduling-dependent telemetry — pool steal counts,
-  // queue depths — whose values legitimately differ run to run and thread
-  // count to thread count. They must surface in the summary and the Chrome
-  // export, and must be invisible to the deterministic digest (which the
-  // determinism suites compare across thread counts).
-  const auto run = [](int64_t steals) {
+  // kStat events carry scheduling-dependent telemetry — pool queue depths —
+  // whose values legitimately differ run to run and thread count to thread
+  // count. They must surface in the summary and the Chrome export, and must
+  // be invisible to the deterministic digest (which the determinism suites
+  // compare across thread counts).
+  const auto run = [](int64_t depth) {
     trace::Tracer tracer;
     tracer.install();
     trace::counter("size", 10);
-    trace::stat("pool/steals", steals);
-    trace::stat("pool/steals", steals + 1);
+    trace::stat("pool/queue_depth", depth);
+    trace::stat("pool/queue_depth", depth + 1);
     tracer.uninstall();
     return tracer.summary();
   };
   const trace::Summary a = run(3);
   const trace::Summary b = run(900);  // wildly different stat values
   ASSERT_EQ(a.stats.size(), 1u);
-  EXPECT_EQ(a.stats[0].name, "pool/steals");
+  EXPECT_EQ(a.stats[0].name, "pool/queue_depth");
   EXPECT_EQ(a.stats[0].values, (std::vector<int64_t>{3, 4}));
   EXPECT_EQ(a.deterministic_digest(), b.deterministic_digest());
-  EXPECT_EQ(a.deterministic_digest().find("pool/steals"), std::string::npos);
+  EXPECT_EQ(a.deterministic_digest().find("pool/queue_depth"),
+            std::string::npos);
 
   // The Chrome export does show them (as counter tracks).
   trace::Tracer tracer;
@@ -403,6 +404,10 @@ TEST(TraceDeterminism, StatsSecondsEqualSpanTotals) {
   };
   expect_same(explore.dmap_seconds, span_seconds("explore/dmap"), "dmap");
   expect_same(explore.search_seconds, span_seconds("explore/search"), "search");
+  expect_same(explore.apply_seconds,
+              span_seconds("explore/collect") + span_seconds("explore/plan") +
+                  span_seconds("explore/commit"),
+              "apply");
   expect_same(explore.rebuild_seconds, span_seconds("explore/rebuild"),
               "rebuild");
   expect_same(explore.cycle_sweep_seconds, span_seconds("explore/sweep"),
