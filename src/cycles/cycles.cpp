@@ -1,6 +1,7 @@
 #include "cycles/cycles.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "support/check.h"
 
@@ -25,8 +26,8 @@ std::vector<Id> child_classes(const EGraph& eg, Id cls) {
 DescendantsMap::DescendantsMap(const EGraph& eg) {
   const std::vector<Id> classes = eg.canonical_classes();
   const int n = static_cast<int>(classes.size());
-  index_.reserve(classes.size());
-  for (int i = 0; i < n; ++i) index_.emplace(classes[i], i);
+  index_.assign(eg.num_ids(), -1);
+  for (int i = 0; i < n; ++i) index_[classes[i]] = i;
   words_ = (static_cast<size_t>(n) + 63) / 64;
   bits_.assign(words_ * n, 0);
 
@@ -39,7 +40,7 @@ DescendantsMap::DescendantsMap(const EGraph& eg) {
   std::vector<std::pair<int, size_t>> stack;
   std::vector<std::vector<int>> children(n);
   for (int i = 0; i < n; ++i) {
-    for (Id c : child_classes(eg, classes[i])) children[i].push_back(index_.at(c));
+    for (Id c : child_classes(eg, classes[i])) children[i].push_back(index_[c]);
   }
   for (int start = 0; start < n; ++start) {
     if (state[start] != 0) continue;
@@ -69,14 +70,13 @@ DescendantsMap::DescendantsMap(const EGraph& eg) {
   }
 }
 
-int DescendantsMap::index_of(Id id) const {
-  auto it = index_.find(id);
-  return it == index_.end() ? -1 : it->second;
+int32_t DescendantsMap::index_of(Id id) const {
+  return id >= 0 && static_cast<size_t>(id) < index_.size() ? index_[id] : -1;
 }
 
 bool DescendantsMap::reaches(Id from, Id to) const {
-  const int f = index_of(from);
-  const int t = index_of(to);
+  const int32_t f = index_of(from);
+  const int32_t t = index_of(to);
   if (f < 0 || t < 0) return false;
   return (bits_[static_cast<size_t>(f) * words_ + static_cast<size_t>(t) / 64] >>
           (t % 64)) &
@@ -125,7 +125,7 @@ struct Edge {
 /// One DFS pass collecting cycles; each cycle is returned as its edge list.
 std::vector<std::vector<Edge>> collect_cycles(const EGraph& eg, size_t max_cycles) {
   std::vector<std::vector<Edge>> cycles;
-  std::unordered_map<Id, int8_t> state;  // 0/absent unvisited, 1 on stack, 2 done
+  std::vector<int8_t> state(eg.num_ids(), 0);  // 0 unvisited, 1 on stack, 2 done
 
   // Path entry: class, index of the e-node being explored, index of the
   // child within that e-node.
@@ -135,7 +135,7 @@ std::vector<std::vector<Edge>> collect_cycles(const EGraph& eg, size_t max_cycle
     size_t child_i{0};
   };
   std::vector<Frame> path;
-  std::unordered_map<Id, size_t> pos_on_path;
+  std::vector<size_t> pos_on_path(eg.num_ids(), 0);  // valid while state is 1
 
   for (Id start : eg.canonical_classes()) {
     if (state[start] != 0) continue;
@@ -162,7 +162,7 @@ std::vector<std::vector<Edge>> collect_cycles(const EGraph& eg, size_t max_cycle
           // every class on the path strictly after `child`.
           std::vector<Edge> cycle;
           cycle.push_back(Edge{f.cls, f.node_i});
-          const size_t from = pos_on_path.at(child);
+          const size_t from = pos_on_path[child];
           for (size_t i = from + 1; i < path.size(); ++i) {
             // path[i] was entered through path[i-1]'s current e-node.
             cycle.push_back(Edge{path[i - 1].cls, path[i - 1].node_i});
@@ -180,7 +180,6 @@ std::vector<std::vector<Edge>> collect_cycles(const EGraph& eg, size_t max_cycle
       if (descended) continue;
       if (f.node_i >= cls.nodes.size()) {
         state[f.cls] = 2;
-        pos_on_path.erase(f.cls);
         path.pop_back();
       }
     }
@@ -225,53 +224,5 @@ size_t filter_cycles(EGraph& eg) {
 }
 
 bool is_acyclic(const EGraph& eg) { return collect_cycles(eg, 1).empty(); }
-
-bool has_cycle_from(const EGraph& eg, const std::vector<Id>& roots) {
-  // Same edge semantics as collect_cycles (filtered e-nodes invisible,
-  // children canonicalized), but id-indexed coloring and first-back-edge
-  // exit: this runs every iteration, so it must not pay hashing or cycle
-  // reconstruction for the common "still acyclic" answer.
-  std::vector<int8_t> state(eg.num_ids(), 0);  // 0 unvisited, 1 on stack, 2 done
-  struct Frame {
-    Id cls;
-    size_t node_i{0};
-    size_t child_i{0};
-  };
-  std::vector<Frame> path;
-  for (Id root : roots) {
-    const Id start = eg.find(root);
-    if (state[start] != 0) continue;
-    path.push_back(Frame{start});
-    state[start] = 1;
-    while (!path.empty()) {
-      Frame& f = path.back();
-      const EClass& cls = eg.eclass(f.cls);
-      bool descended = false;
-      while (f.node_i < cls.nodes.size()) {
-        const EClassNode& entry = cls.nodes[f.node_i];
-        if (entry.filtered || f.child_i >= entry.node.children.size()) {
-          ++f.node_i;
-          f.child_i = 0;
-          continue;
-        }
-        const Id child = eg.find(entry.node.children[f.child_i]);
-        ++f.child_i;
-        if (state[child] == 1) return true;  // back edge
-        if (state[child] == 0) {
-          state[child] = 1;
-          path.push_back(Frame{child});
-          descended = true;
-          break;
-        }
-      }
-      if (descended) continue;
-      if (f.node_i >= cls.nodes.size()) {
-        state[f.cls] = 2;
-        path.pop_back();
-      }
-    }
-  }
-  return false;
-}
 
 }  // namespace tensat

@@ -11,62 +11,41 @@
 //    resolves each by filtering the last-added e-node on it.
 //
 // The class graph here has an edge C -> D whenever some unfiltered e-node of
-// class C has child class D; filtered e-nodes are invisible.
+// class C has child class D; filtered e-nodes are invisible. The efficient
+// filter's two passes index their per-class state by e-class id (ids are
+// dense in [0, EGraph::num_ids())), so neither hashes.
 //
-// Two implementations of the descendants relation exist:
-//
-//  * DescendantsMap (below): rebuilt from scratch once per iteration — the
-//    paper's literal Algorithm 2 line 3, kept as the differential baseline
-//    (TensatOptions::incremental_cycles = false).
-//  * IncrementalCycleAnalysis (cycles/incremental.h): maintained across
-//    iterations from the e-graph's change journal, with epoch semantics.
-//
-// Concurrency contract (the staged apply pipeline's stage-1 workers): both
-// implementations expose a *frozen epoch* of the relation through the
-// ReachabilityMap interface. A DescendantsMap is immutable after
-// construction; the incremental map mutates only inside advance_epoch(),
-// which runs strictly at the serial commit/rebuild boundary — never while
-// planning workers are live. Either way reaches() is a pure read during the
-// plan phase, safe for any number of concurrent readers, and the answers are
-// independent of apply_threads/search_threads.
+// Concurrency: a DescendantsMap is immutable after construction, so
+// reaches() is a pure read. The staged apply pipeline builds one per
+// iteration on the clean e-graph and shares it with every stage-1 planning
+// worker; its answers do not depend on apply_threads or search_threads.
 #pragma once
 
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "egraph/egraph.h"
 
 namespace tensat {
 
-/// The frozen-epoch descendants relation the cycle pre-filter queries.
-/// reaches(from, to) is true if `to` is a (transitive) descendant of `from`
-/// in the class graph of the epoch's clean e-graph. Both ids must be
-/// canonical ids of that snapshot; ids unknown to the snapshot (e.g. classes
-/// created after it) return false. Implementations guarantee reaches() is a
-/// pure read, safe for concurrent callers, between epoch boundaries.
-class ReachabilityMap {
- public:
-  virtual ~ReachabilityMap() = default;
-  [[nodiscard]] virtual bool reaches(Id from, Id to) const = 0;
-};
-
 /// Transitive descendants of every e-class, as a dense bitset matrix.
 /// Snapshot semantics: reflects the e-graph at construction time. Immutable
-/// after construction, so reaches() is safe for concurrent readers — the
-/// staged apply pipeline shares one map across all stage-1 planning workers.
-class DescendantsMap final : public ReachabilityMap {
+/// after construction, so reaches() is safe for concurrent readers.
+class DescendantsMap {
  public:
   explicit DescendantsMap(const EGraph& eg);
 
-  /// True if `to` is a (transitive) descendant of `from`. Ids from the
-  /// snapshot's canonical ids; unknown ids return false.
-  [[nodiscard]] bool reaches(Id from, Id to) const override;
+  /// True if `to` is a (transitive) descendant of `from`. Both ids must be
+  /// canonical ids of the snapshot; any other id (created after it, merged
+  /// away before it, or negative) returns false.
+  [[nodiscard]] bool reaches(Id from, Id to) const;
 
  private:
-  [[nodiscard]] int index_of(Id id) const;
+  [[nodiscard]] int32_t index_of(Id id) const;
   size_t words_{0};
   std::vector<uint64_t> bits_;
-  std::unordered_map<Id, int> index_;
+  /// Row of each e-class id, or -1 for ids that were not canonical.
+  std::vector<int32_t> index_;
 };
 
 /// Fresh whole-graph reachability: true if merging `a` and `b` would close a
@@ -82,14 +61,5 @@ size_t filter_cycles(EGraph& eg);
 
 /// True if the class graph restricted to unfiltered e-nodes is acyclic.
 bool is_acyclic(const EGraph& eg);
-
-/// Detection-only DFS from `roots`: true if any cycle is reachable from (and
-/// hence, when every cycle must pass through a root, exists at all) the
-/// given classes. Sound scoping for the incremental sweep: an e-graph that
-/// was acyclic at the last epoch can only have grown a cycle through a class
-/// fused by a merge since, so DFSing from the merged representatives decides
-/// acyclicity of the whole graph without visiting unreachable regions.
-/// Stops at the first back edge. The e-graph must be clean (rebuilt).
-bool has_cycle_from(const EGraph& eg, const std::vector<Id>& roots);
 
 }  // namespace tensat

@@ -6,13 +6,6 @@
 
 namespace tensat {
 
-void EGraph::set_cycle_journal(CycleJournal* journal) {
-  TENSAT_CHECK(journal == nullptr || journal_ == nullptr || journal == journal_,
-               "a cycle journal is already attached; detach it first "
-               "(a displaced consumer would resume from a stale epoch)");
-  journal_ = journal;
-}
-
 TNode EGraph::canonicalize(TNode node) const {
   for (Id& c : node.children) c = find(c);
   return node;
@@ -37,7 +30,6 @@ Id EGraph::insert_new_class(TNode node, ValueInfo data) {
   for (Id c : node.children) classes_[find(c)].parents.emplace_back(node, id);
   shard(node).emplace(std::move(node), id);
   ++num_enodes_total_;
-  if (journal_ != nullptr) journal_->new_classes.push_back(id);
   ++version_;
   return id;
 }
@@ -107,7 +99,6 @@ bool EGraph::merge(Id a, Id b) {
   a = find(a);
   b = find(b);
   if (a == b) return false;
-  if (journal_ != nullptr) journal_->merges.emplace_back(a, b);
   const Id root = uf_.unite(a, b);
   const Id other = (root == a) ? b : a;
   EClass& winner = classes_[root];
@@ -348,7 +339,6 @@ void EGraph::set_filtered(Id class_id, size_t index) {
   TENSAT_CHECK(index < cls.nodes.size(), "set_filtered: bad node index");
   if (!cls.nodes[index].filtered) {
     cls.nodes[index].filtered = true;
-    if (journal_ != nullptr) journal_->filtered_classes.push_back(find(class_id));
     ++num_filtered_;
     ++version_;
   }

@@ -22,31 +22,6 @@
 
 namespace tensat {
 
-/// The change journal incremental cycle analysis consumes
-/// (cycles/incremental.h): every e-graph state change between two epoch
-/// advances, recorded by try_add/merge/set_filtered while a journal is
-/// attached (EGraph::set_cycle_journal). Ids are canonical at record time;
-/// consumers re-canonicalize through find() when they drain the journal, so
-/// later merges folding a recorded class away are harmless.
-struct CycleJournal {
-  /// E-class ids created by try_add (one per genuinely new e-node).
-  std::vector<Id> new_classes;
-  /// Real merges as (a, b) canonical-at-merge-time pairs, in merge order —
-  /// both the apply phase's merges and rebuild()'s congruence merges.
-  std::vector<std::pair<Id, Id>> merges;
-  /// Classes (canonical at call time) that gained a newly filtered e-node.
-  std::vector<Id> filtered_classes;
-
-  void clear() {
-    new_classes.clear();
-    merges.clear();
-    filtered_classes.clear();
-  }
-  [[nodiscard]] bool empty() const {
-    return new_classes.empty() && merges.empty() && filtered_classes.empty();
-  }
-};
-
 /// One e-node stored inside an e-class. `stamp` is the global insertion
 /// counter used by efficient cycle filtering to pick "the last node added"
 /// on a cycle; `filtered` marks membership in the filter list.
@@ -156,20 +131,9 @@ class EGraph {
   [[nodiscard]] uint64_t version() const { return version_; }
 
   /// Total e-class ids ever created (canonical or not). Ids are dense in
-  /// [0, num_ids()), which is what lets cycle analysis index bitset rows by
-  /// id instead of hashing.
+  /// [0, num_ids()), which is what lets the cycle analyses index their
+  /// per-class state by id instead of hashing.
   [[nodiscard]] size_t num_ids() const { return uf_.size(); }
-
-  /// Attaches (or, with nullptr, detaches) a change journal: while attached,
-  /// try_add/merge/set_filtered append to it. The journal must outlive the
-  /// attachment and is drained/cleared by its consumer, never by the
-  /// e-graph. Detach before moving the e-graph. Attaching a second journal
-  /// over a live one throws: the displaced consumer would silently stop
-  /// seeing changes and resume from a stale epoch — exactly the bug a
-  /// session that persists its cycle analysis across run_exploration calls
-  /// would otherwise hit (service_test.cpp pins this).
-  void set_cycle_journal(CycleJournal* journal);
-  [[nodiscard]] CycleJournal* cycle_journal() const { return journal_; }
 
   /// The designated root e-class (set after add_graph via set_root).
   void set_root(Id id) { root_ = id; }
@@ -213,7 +177,6 @@ class EGraph {
       static_cast<size_t>(Op::kOpCount)};
   size_t num_enodes_total_{0};
   std::vector<Id> pending_;
-  CycleJournal* journal_{nullptr};
   uint64_t version_{0};
   uint32_t next_stamp_{0};
   size_t num_filtered_{0};

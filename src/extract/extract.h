@@ -97,8 +97,14 @@ struct IlpExtractionResult : ExtractionResult {
   int lp_iterations{0};
   size_t num_vars{0};
   size_t num_rows{0};
-  /// True if the selected graph contained a cycle (possible only when
-  /// cycle_constraints are off and the e-graph was not filtered).
+  /// True if the selection could not be rebuilt into a graph
+  /// (build_selected_graph returned nullopt) and the result fell back to
+  /// the greedy graph. Besides a cyclic selection (possible only when
+  /// cycle_constraints are off and the e-graph was not filtered), this
+  /// happens when a selected e-node fails the concrete shape check: a class
+  /// whose analysis data is a join over disagreeing members can hand the
+  /// optimum a member that cannot honor its child's boundary (e.g. a split
+  /// whose child member lacks the concat boundary).
   bool cyclic_selection{false};
   /// Per-phase breakdown (reach/reduce/lp-build/solve/stitch + sizes).
   ExtractStats stats;
@@ -109,7 +115,10 @@ IlpExtractionResult extract_ilp(const EGraph& eg, const CostModel& model,
                                 const IlpExtractOptions& options = {});
 
 /// Rebuilds a concrete Graph from a per-class e-node choice, starting at the
-/// root class. Returns nullopt if the selection is cyclic or incomplete.
+/// root class. Returns nullopt if the selection is cyclic or incomplete, or
+/// if a selected e-node fails the concrete shape check of Graph::try_add
+/// (its class's analysis data joined members that disagree, so the class
+/// admits members that cannot be built over the chosen children).
 std::optional<Graph> build_selected_graph(
     const EGraph& eg, Id root,
     const std::unordered_map<Id, TNode>& selection);

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 
 #include "cycles/cycles.h"
-#include "cycles/incremental.h"
 #include "rewrite/matcher.h"
 #include "rewrite/multi.h"
 #include "support/check.h"
@@ -81,12 +81,12 @@ struct ApplyPlan {
 /// Stage 1 of the apply pipeline (parallel, read-only): evaluates the rule
 /// condition on the matched variables' analysis data, the efficient pre-
 /// filter (Algorithm 2, lines 3-9: skip the substitution if a matched class
-/// is a descendant of, or is, a class we would merge into), and plans the
-/// target instantiation against the clean e-graph snapshot. Writes only into
-/// `plan` and `chunk`.
+/// is a descendant of, or is, a class we would merge into; `dmap` is the
+/// iteration's descendants map under efficient filtering, null otherwise),
+/// and plans the target instantiation against the clean e-graph snapshot.
+/// Writes only into `plan` and `chunk`.
 void plan_application(const EGraph& eg, const Application& app, ApplyPlan& plan,
-                      PlanChunk& chunk, CycleFilterMode mode,
-                      const ReachabilityMap* dmap) {
+                      PlanChunk& chunk, const DescendantsMap* dmap) {
   const Rewrite& rule = *app.rule;
   if (rule.cond) {
     auto lookup = [&](Symbol var) -> const ValueInfo& {
@@ -96,7 +96,7 @@ void plan_application(const EGraph& eg, const Application& app, ApplyPlan& plan,
     };
     if (!rule.check_cond(lookup)) return;
   }
-  if (mode == CycleFilterMode::kEfficient && dmap != nullptr) {
+  if (dmap != nullptr) {
     for (Id src : app.src_classes) {
       const Id a = eg.find(src);
       for (const auto& [var, cls] : app.subst.bindings()) {
@@ -171,12 +171,6 @@ EGraph seed_egraph(const Graph& input) {
   return eg;
 }
 
-ExplorationSession::ExplorationSession() = default;
-ExplorationSession::~ExplorationSession() = default;
-ExplorationSession::ExplorationSession(ExplorationSession&&) noexcept = default;
-ExplorationSession& ExplorationSession::operator=(ExplorationSession&&) noexcept =
-    default;
-
 ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
                              const TensatOptions& options,
                              ExplorationSession* session) {
@@ -217,36 +211,6 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
   }
 
   eg.rebuild();
-  // Incremental cycle analysis (cycles/incremental.h): attach once — the
-  // e-graph journals every add/merge/filtering from here on — and build the
-  // initial epoch. The fresh path below rebuilds a DescendantsMap per
-  // iteration instead, as the differential baseline. A session resumes its
-  // persisted analysis: the journal stayed attached between calls, so
-  // whatever the service added to the e-graph since the last call is
-  // already recorded and gets folded in at the first iteration's (lazy)
-  // epoch advance — nothing is lost, nothing is rebuilt from scratch.
-  const bool incremental_cycles =
-      options.incremental_cycles &&
-      options.cycle_filter == CycleFilterMode::kEfficient;
-  std::unique_ptr<IncrementalCycleAnalysis> owned_cycles;
-  IncrementalCycleAnalysis* inc_cycles = nullptr;
-  if (incremental_cycles) {
-    const trace::ScopedSpan dmap_span("explore/dmap", stats.dmap_seconds);
-    if (session != nullptr) {
-      if (session->cycles == nullptr) {
-        session->cycles = std::make_unique<IncrementalCycleAnalysis>(
-            eg, /*fallback_fraction=*/0.5, options.apply_threads);
-      } else {
-        TENSAT_CHECK(session->cycles->egraph() == &eg,
-                     "session resumed against a different e-graph");
-      }
-      inc_cycles = session->cycles.get();
-    } else {
-      owned_cycles = std::make_unique<IncrementalCycleAnalysis>(
-          eg, /*fallback_fraction=*/0.5, options.apply_threads);
-      inc_cycles = owned_cycles.get();
-    }
-  }
   for (int iter = 0; iter < options.k_max; ++iter) {
     if (timer.seconds() > options.explore_time_limit_s) {
       stats.stop = StopReason::kTimeLimit;
@@ -269,27 +233,13 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
       return !(rules[r].is_multi() && iter >= options.k_multi);
     };
 
-    // The descendants relation for the pre-filter: a frozen epoch of the
-    // incremental map (advanced at the previous rebuild boundary), or — in
-    // fresh mode — a DescendantsMap rebuilt here, once per iteration
-    // (Algorithm 2 line 3). Either is immutable until the serial boundary,
-    // so stage-1 workers share it read-only.
-    std::unique_ptr<DescendantsMap> dmap;
-    const ReachabilityMap* reach = nullptr;
+    // The descendants map for the pre-filter, built once per iteration
+    // (Algorithm 2 line 3) and immutable afterwards, so stage-1 workers
+    // share it read-only.
+    std::optional<DescendantsMap> dmap;
     if (options.cycle_filter == CycleFilterMode::kEfficient) {
       const trace::ScopedSpan dmap_span("explore/dmap", stats.dmap_seconds);
-      if (incremental_cycles) {
-        // Serial epoch boundary: drain the journal accumulated since the
-        // last boundary into the next frozen epoch. Done lazily here — not
-        // after the previous iteration's sweep — so the final iteration's
-        // journal (whose epoch nobody would ever query) is never paid for,
-        // mirroring the fresh path building its map only at iteration start.
-        inc_cycles->advance_epoch();
-        reach = inc_cycles;
-      } else {
-        dmap = std::make_unique<DescendantsMap>(eg);
-        reach = dmap.get();
-      }
+      dmap.emplace(eg);
     }
 
     // SEARCH: all canonical patterns with at least one active consumer, once
@@ -465,7 +415,7 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
             return;
           }
           plan_application(eg, apps[i], plans[i], chunks[c],
-                           options.cycle_filter, reach);
+                           dmap ? &*dmap : nullptr);
         }
       });
     }
@@ -519,16 +469,9 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
       // Vanilla's per-merge check is complete for the merges it allows, but
       // congruence-closure merges during rebuild() can still fuse classes
       // into cycles; sweep them too so the invariant holds for both modes.
-      // The incremental sweep restarts its DFS only from merge-dirtied
-      // classes and skips outright on add-only iterations; when it does
-      // find a cycle it delegates to the same full filter_cycles pass, so
-      // the filtered sets match the fresh baseline exactly.
       const trace::ScopedSpan sweep_span("explore/sweep",
                                          stats.cycle_sweep_seconds);
-      if (incremental_cycles)
-        inc_cycles->sweep_cycles();
-      else
-        filter_cycles(eg);
+      filter_cycles(eg);
     }
 
     // Growth timeline: one sample per executed iteration, taken after the

@@ -60,21 +60,6 @@ struct TensatOptions {
   /// pending applications (kMinParallelPlanWork) plan on the calling
   /// thread: below that, waking workers costs more than it saves.
   size_t apply_threads = 0;
-  /// True (default) maintains the efficient cycle filter's descendants map
-  /// and cycle sweep incrementally across iterations (cycles/incremental.h):
-  /// the e-graph journals adds/merges/filterings, the map repairs only the
-  /// rows whose reachability changed at the serial rebuild boundary (falling
-  /// back to full reconstruction when merges fuse large regions), and the
-  /// post-rebuild sweep restarts its DFS only from merge-dirtied classes.
-  /// False rebuilds the DescendantsMap from scratch every iteration and
-  /// sweeps the whole graph — the paper's literal Algorithm 2, kept as the
-  /// differential baseline (tests/cycles_incremental_test.cpp proves the two
-  /// modes produce identical reaches() relations, filtered-node sets, and
-  /// bit-identical e-graphs). Only meaningful with
-  /// CycleFilterMode::kEfficient; the epoch advance happens strictly at the
-  /// serial boundary, so any apply_threads/search_threads value still yields
-  /// a bit-identical e-graph.
-  bool incremental_cycles = true;
 };
 
 /// Cumulative per-rule telemetry across all exploration iterations, indexed
@@ -143,12 +128,12 @@ struct ExploreStats {
   /// (perfbench reports each as a per-layer metric). search = the
   /// parallel pattern/joint searches; apply = match enumeration + the
   /// plan/commit pipeline, including freeing its staging arenas; rebuild =
-  /// congruence repair; dmap = descendants-map construction (fresh mode) or
-  /// epoch advances (incremental mode); cycle_sweep = the post-rebuild cycle
-  /// filtering pass, split out of apply/rebuild so the cycle analysis is
-  /// timed on its own. Each is the summed duration of its spans — apply of
-  /// explore/{collect,plan,commit}, the others of explore/{search,rebuild,
-  /// dmap,sweep}: one clock (trace::ScopedSpan) times both.
+  /// congruence repair; dmap = descendants-map construction; cycle_sweep =
+  /// the post-rebuild cycle filtering pass, split out of apply/rebuild so
+  /// the cycle analysis is timed on its own. Each is the summed duration of
+  /// its spans — apply of explore/{collect,plan,commit}, the others of
+  /// explore/{search,rebuild,dmap,sweep}: one clock (trace::ScopedSpan)
+  /// times both.
   double search_seconds{0.0};
   double apply_seconds{0.0};
   double rebuild_seconds{0.0};
@@ -161,14 +146,13 @@ struct ExploreStats {
   std::vector<IterationTelemetry> growth;
 };
 
-class IncrementalCycleAnalysis;
-
 /// Cross-call exploration state for a persistent optimization session (the
-/// service layer, src/service/): the backoff scheduler, the incremental
-/// cycle analysis (journal + closure epochs), and the global iteration
-/// clock. Passing one ExplorationSession through successive run_exploration
-/// calls on the SAME e-graph makes a perturbed resubmission resume
-/// saturation where the previous request stopped instead of restarting.
+/// service layer, src/service/): the backoff scheduler and the global
+/// iteration clock. Passing one ExplorationSession through successive
+/// run_exploration calls on the SAME e-graph makes a perturbed resubmission
+/// resume saturation where the previous request stopped instead of
+/// restarting. Cycle analysis keeps no state between calls: every iteration
+/// builds its descendants map from the e-graph as it stands.
 ///
 /// The iteration clock is the load-bearing part: BackoffScheduler ban
 /// timestamps (`banned_until`) are absolute iteration numbers, so replaying
@@ -178,28 +162,17 @@ class IncrementalCycleAnalysis;
 /// session numbers iterations globally: call N resumes at iteration_base =
 /// total iterations executed by calls 1..N-1.
 struct ExplorationSession {
-  ExplorationSession();
-  ~ExplorationSession();
-  ExplorationSession(ExplorationSession&&) noexcept;
-  ExplorationSession& operator=(ExplorationSession&&) noexcept;
-
   /// Created on the first call; ban state persists across calls on the
   /// global iteration clock. The rule count must match on every call.
   std::unique_ptr<ematch::BackoffScheduler> scheduler;
-  /// Persisted incremental cycle analysis: keeps its journal attached to
-  /// the session e-graph between calls, so additions made between requests
-  /// (resubmitted graphs) are journaled and folded in at resume, not lost.
-  /// Only populated when the options select incremental efficient
-  /// filtering; the e-graph must stay at a stable address (heap-own it).
-  std::unique_ptr<IncrementalCycleAnalysis> cycles;
   /// Total iterations executed across all calls: the global clock
   /// scheduler timestamps live on.
   size_t iteration_base{0};
 };
 
 /// Runs the exploration phase on a pre-seeded e-graph (root already set).
-/// `session`, when non-null, persists scheduler/cycle state across calls on
-/// the same e-graph (see ExplorationSession); null preserves the one-shot
+/// `session`, when non-null, persists scheduler state across calls on the
+/// same e-graph (see ExplorationSession); null preserves the one-shot
 /// behavior exactly.
 ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
                              const TensatOptions& options,

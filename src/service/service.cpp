@@ -1,8 +1,8 @@
 #include "service/service.h"
 
+#include <optional>
 #include <utility>
 
-#include "cycles/incremental.h"
 #include "egraph/egraph.h"
 #include "serialize/serialize.h"
 #include "service/fingerprint.h"
@@ -12,13 +12,11 @@
 namespace tensat {
 namespace service {
 
-/// One persistent session. Member order matters: `exp` (whose cycle
-/// analysis holds a journal pointer into *eg) must be declared after `eg`
-/// so it is destroyed first, detaching the journal while the e-graph is
-/// still alive. Retirement resets in the same order.
+/// One persistent session: its explored e-graph (empty until the first
+/// request, and again after retirement) and its exploration state.
 struct OptimizationService::Session {
-  std::mutex mutex;            // serializes runs on this session
-  std::unique_ptr<EGraph> eg;  // heap-owned: must not move while journaled
+  std::mutex mutex;  // serializes runs on this session
+  std::optional<EGraph> eg;
   ExplorationSession exp;
   /// E-node total last added to the service-wide session_enodes gauge (so
   /// retirement/regrowth adjust it by exact differences).
@@ -320,10 +318,8 @@ TensatResult OptimizationService::run_in_session(const Graph& input,
   }
   std::lock_guard<std::mutex> session_lock(session->mutex);
 
-  // Retire an overgrown session before seeding the request into it. Reset
-  // order mirrors the member order contract: the exploration state (cycle
-  // journal) detaches first, then the e-graph goes away.
-  if (session->eg != nullptr &&
+  // Retire an overgrown session before seeding the request into it.
+  if (session->eg.has_value() &&
       session->eg->num_enodes_total() > session_cap_) {
     session->exp = ExplorationSession{};
     session->eg.reset();
@@ -332,14 +328,13 @@ TensatResult OptimizationService::run_in_session(const Graph& input,
     m.sessions_retired.inc();
   }
 
-  const bool reused = session->eg != nullptr;
+  const bool reused = session->eg.has_value();
   Graph g = input;
   const Id root = g.single_root();
-  if (!reused) session->eg = std::make_unique<EGraph>();
+  if (!reused) session->eg.emplace();
   EGraph& eg = *session->eg;
-  // On reuse this only ADDS (hash-consed, journaled as new classes — no
-  // merges), so the persisted cycle closure resumes soundly: the first
-  // iteration's lazy epoch advance drains the additions.
+  // On reuse this only ADDS (hash-consed, no merges) into the explored
+  // e-graph, so the resumed exploration starts from an acyclic e-graph.
   auto mapping = eg.add_graph(g);
   eg.set_root(mapping.at(root));
 

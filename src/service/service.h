@@ -13,15 +13,15 @@
 //   2. Persistent sessions: a client that iterates on one model (perturbed
 //      resubmissions) names a session; the service keeps that session's
 //      explored e-graph alive together with its ExplorationSession state
-//      (backoff scheduler on the global iteration clock, incremental cycle
-//      journal/closure). A resubmission is added into the existing e-graph
-//      and exploration RESUMES — rewrites discovered for the previous
-//      variant are already in the e-graph, so saturation converges in fewer
-//      iterations. Session results are cost-certified (never worse than the
-//      request's input, same guarantee as optimize()) but not byte-stable
-//      across service restarts: they depend on what the session explored
-//      before, which is the point. A session whose e-graph outgrows
-//      session_node_cap is retired and restarted fresh on the next request.
+//      (backoff scheduler on the global iteration clock). A resubmission
+//      is added into the existing e-graph and exploration RESUMES —
+//      rewrites discovered for the previous variant are already in the
+//      e-graph, so saturation converges in fewer iterations. Session
+//      results are cost-certified (never worse than the request's input,
+//      same guarantee as optimize()) but not byte-stable across service
+//      restarts: they depend on what the session explored before, which is
+//      the point. A session whose e-graph outgrows session_node_cap is
+//      retired and restarted fresh on the next request.
 //
 //   3. Cross-request MILP warm starts: the extraction engine's per-core
 //      solves publish their root LP basis and pseudocost history into a

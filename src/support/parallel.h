@@ -1,9 +1,9 @@
 // Fork-join fan-out for the exploration loop: runs fn(0..n-1) across the
 // persistent worker pool (support/pool.h) fed by an atomic chunk cursor.
-// Built for the pattern searches, apply planning, cycle row-DP, and
-// extraction cores, where determinism comes from the caller writing results
-// into per-index slots and merging in index order — worker scheduling then
-// cannot influence anything observable.
+// Built for the pattern searches, apply planning and extraction cores,
+// where determinism comes from the caller writing results into per-index
+// slots and merging in index order — worker scheduling then cannot
+// influence anything observable.
 //
 // parallel_for used to spawn fresh std::threads per call; dispatch cost
 // (tens of microseconds per thread) exceeded many whole sub-millisecond

@@ -1,7 +1,7 @@
 // A persistent worker pool behind parallel_for (support/parallel.h).
 //
 // The exploration loop dispatches many sub-millisecond fork-join regions
-// (pattern sweeps, apply planning, cycle row-DP waves, extraction cores).
+// (pattern sweeps, apply planning, extraction cores).
 // Spawning std::threads per region costs tens of microseconds each — more
 // than some whole regions — which is why parallel sweeps under the
 // thread-spawning loop this pool replaced sat at ~1x. The pool starts its
@@ -57,10 +57,10 @@ struct Job;
 
 class WorkerPool {
  public:
-  /// The process-wide pool shared by search, apply planning, the cycle
-  /// row-DP, and extraction cores. Constructed on first use (no workers
-  /// until the first multi-participant job); destroyed — workers joined —
-  /// at static destruction, so LSan/TSan see a clean shutdown.
+  /// The process-wide pool shared by search, apply planning and extraction
+  /// cores. Constructed on first use (no workers until the first
+  /// multi-participant job); destroyed — workers joined — at static
+  /// destruction, so LSan/TSan see a clean shutdown.
   static WorkerPool& global();
 
   ~WorkerPool();

@@ -16,8 +16,7 @@
 // view; on the deterministic paths (no time-limit truncation) it is
 // bit-identical for any search/apply/core thread count, pinned by
 // tests/trace_test.cpp at 1/2/8 threads — the same contract the staged
-// apply pipeline and incremental cycle analysis follow for the e-graph
-// itself.
+// apply pipeline follows for the e-graph itself.
 //
 // Cost model: with no tracer installed (the default), every instrumentation
 // point is one relaxed atomic load and a predictable branch — cheap enough

@@ -10,6 +10,9 @@
 //  * parity: the plan/commit split of instantiate (plan_instantiate +
 //    NodeBuffer::commit) produces exactly the e-graph instantiate() does,
 //    except that a failed instantiation leaves no partial nodes behind.
+//
+// ExploredEGraphsPinned also pins the explored e-graphs themselves to
+// recorded digests, sessions included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,12 +23,14 @@
 #include <vector>
 
 #include "cost/cost.h"
+#include "cycles/cycles.h"
 #include "extract/extract.h"
 #include "lang/parse.h"
 #include "models/models.h"
 #include "optimizer/optimizer.h"
 #include "rewrite/matcher.h"
 #include "rewrite/rules.h"
+#include "service/fingerprint.h"
 #include "tests/egraph_fingerprint.h"
 
 namespace tensat {
@@ -92,25 +97,22 @@ TEST(ApplyPipeline, FingerprintIdenticalForAnyThreadCount) {
   }
 }
 
-TEST(ApplyPipeline, IncrementalCyclesDeterministicAcrossThreadCounts) {
-  // The incremental cycle analysis advances its epoch only at the serial
-  // rebuild boundary, so its map — and with it the pre-filter's answers and
-  // the filtered node set — must be a pure function of the e-graph state,
-  // never of worker count or scheduling: bit-identical e-graphs for any
-  // apply_threads/search_threads combination, in both cycle modes.
-  for (bool incremental : {true, false}) {
-    for (const ModelInfo& m : seed_examples()) {
-      TensatOptions opt = explore_options();
-      opt.incremental_cycles = incremental;
-      opt.search_threads = 1;
-      opt.apply_threads = 1;
-      const std::string baseline = explore_and_fingerprint(m.graph, opt);
-      for (size_t threads : {2u, 8u}) {
-        opt.search_threads = threads;
-        opt.apply_threads = threads;
-        EXPECT_EQ(baseline, explore_and_fingerprint(m.graph, opt))
-            << m.name << " incremental=" << incremental << " threads=" << threads;
-      }
+TEST(ApplyPipeline, CyclesDeterministicAcrossSearchAndApplyThreads) {
+  // The descendants map is built on the clean e-graph before the searches
+  // and read-only afterwards, and the sweep runs after the serial rebuild,
+  // so the pre-filter's answers and the filtered node set are a pure
+  // function of the e-graph state, never of worker count or scheduling:
+  // bit-identical e-graphs for any search_threads/apply_threads pair.
+  for (const ModelInfo& m : seed_examples()) {
+    TensatOptions opt = explore_options();
+    opt.search_threads = 1;
+    opt.apply_threads = 1;
+    const std::string baseline = explore_and_fingerprint(m.graph, opt);
+    for (size_t threads : {2u, 8u}) {
+      opt.search_threads = threads;
+      opt.apply_threads = threads;
+      EXPECT_EQ(baseline, explore_and_fingerprint(m.graph, opt))
+          << m.name << " threads=" << threads;
     }
   }
 }
@@ -124,6 +126,99 @@ TEST(ApplyPipeline, SearchAndApplyThreadsCompose) {
     opt.apply_threads = 4;
     EXPECT_EQ(baseline, explore_and_fingerprint(m.graph, opt)) << m.name;
   }
+}
+
+// ---- Absolute pins -----------------------------------------------------------
+
+/// 64-bit digest of the full e-graph fingerprint (class ids, analysis data,
+/// e-node sets with insertion stamps, filtered flags, root).
+uint64_t egraph_digest(const EGraph& eg) {
+  return service::fingerprint(fingerprint(eg));
+}
+
+TEST(ApplyPipeline, ExploredEGraphsPinned) {
+  // The thread-count tests above compare runs with each other; these
+  // constants pin the explorations themselves, so a change to the cycle
+  // analysis (or anything else on the exploration path) that alters which
+  // e-nodes are added, merged or filtered cannot pass unnoticed. Update a
+  // constant only for a change meant to alter exploration results.
+  struct Pin {
+    std::string name;
+    uint64_t digest;
+  };
+  const auto check = [](const std::string& name, const EGraph& eg,
+                        uint64_t expected) {
+    EXPECT_TRUE(is_acyclic(eg)) << name;
+    EXPECT_EQ(egraph_digest(eg), expected)
+        << name << ": got 0x" << std::hex << egraph_digest(eg);
+  };
+
+  const std::vector<Pin> seed_pins = {
+      {"shared_matmuls", 0x83252a7980673d5aull},
+      {"NasRNN", 0xe3757f382ff52d90ull},
+      {"BERT", 0x3da1a8a85cb80ba4ull},
+      {"ResNeXt-50", 0x7b2002063a72308full},
+      {"NasNet-A", 0xe32b46e27f878f0dull},
+      {"SqueezeNet", 0x2b48c36819c27137ull},
+      {"VGG-19", 0x081452ece8dcc3c0ull},
+      {"Inception-v3", 0x9e3a2f8ff0f31433ull},
+      {"ResNet-50", 0x6216ac0f821aea2eull},
+  };
+  const std::vector<ModelInfo> seeds = seed_examples();
+  ASSERT_EQ(seeds.size(), seed_pins.size());
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    ASSERT_EQ(seeds[i].name, seed_pins[i].name);
+    EGraph eg = seed_egraph(seeds[i].graph);
+    run_exploration(eg, default_rules(), explore_options());
+    check(seeds[i].name, eg, seed_pins[i].digest);
+  }
+
+  // Larger models at two iteration counts each; every one of them closes
+  // cycles that the sweep must resolve. BERT applies multi-pattern rules in
+  // a second iteration too: that is where the descendants-map pre-filter
+  // rejects applications, so its pins also fail if the map answers wrong.
+  struct ModelPin {
+    std::string name;
+    Graph graph;
+    int k_max;
+    int k_multi;
+    uint64_t digest;
+  };
+  const std::vector<ModelPin> model_pins = {
+      {"BERT(1,8,32)", make_bert(1, 8, 32), 2, 2, 0xc8454746edd4784eull},
+      {"BERT(1,8,32)", make_bert(1, 8, 32), 4, 2, 0x254f19cbb08dc860ull},
+      {"NasRNN(1,2,8)", make_nasrnn(1, 2, 8), 2, 1, 0xeaa752d6c1e7f410ull},
+      {"NasRNN(1,2,8)", make_nasrnn(1, 2, 8), 4, 1, 0x9efa093424f279b2ull},
+  };
+  for (const ModelPin& p : model_pins) {
+    TensatOptions opt = explore_options();
+    opt.k_max = p.k_max;
+    opt.k_multi = p.k_multi;
+    EGraph eg = seed_egraph(p.graph);
+    run_exploration(eg, default_rules(), opt);
+    const std::string name = p.name + " k_max=" + std::to_string(p.k_max) +
+                             " k_multi=" + std::to_string(p.k_multi);
+    check(name, eg, p.digest);
+    EXPECT_GT(eg.num_filtered(), 0u) << name;
+  }
+
+  // A resumed session, as the service runs one: a perturbed second graph is
+  // added into the explored e-graph between the two calls, and exploration
+  // resumes with fresh node headroom and the persisted scheduler. The
+  // resumed call merges and filters on top of the first call's e-graph.
+  TensatOptions opt = explore_options();
+  ExplorationSession session;
+  EGraph eg = seed_egraph(make_nasnet_a(1, 4, 8));
+  run_exploration(eg, default_rules(), opt, &session);
+  check("session call 1", eg, 0xe32b46e27f878f0dull);
+  const size_t filtered_first = eg.num_filtered();
+  Graph second = make_nasnet_a(2, 4, 8);
+  const Id root = second.single_root();
+  eg.set_root(eg.add_graph(second).at(root));
+  opt.node_limit += eg.num_enodes_total();
+  run_exploration(eg, default_rules(), opt, &session);
+  check("session call 2", eg, 0x1871abcf69fafb8full);
+  EXPECT_GT(eg.num_filtered(), filtered_first);
 }
 
 // ---- plan/commit parity with instantiate() ---------------------------------
@@ -254,8 +349,8 @@ TEST(ApplyPipeline, PhaseTimingsArePopulatedAndCoherent) {
   EXPECT_GT(stats.search_seconds, 0.0);
   EXPECT_GT(stats.apply_seconds, 0.0);
   EXPECT_GT(stats.rebuild_seconds, 0.0);
-  // The cycle-analysis phases are split out of apply/rebuild so the
-  // incremental-vs-fresh gate can measure exactly the work it replaces.
+  // The cycle-analysis phases are split out of apply/rebuild so perfbench
+  // can time the descendants map and the sweep on their own.
   EXPECT_GT(stats.dmap_seconds, 0.0);
   EXPECT_GE(stats.cycle_sweep_seconds, 0.0);
   // The phases are the bulk of exploration; they can never exceed it.

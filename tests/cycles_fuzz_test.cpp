@@ -1,17 +1,16 @@
-// Seeded random-churn harness for the incremental cycle analysis
-// (cycles/incremental.h), pinning the two properties the pre-filter's
-// soundness rests on:
+// Seeded random harnesses for the efficient cycle filter (cycles/cycles.h,
+// Algorithm 2), pinning the properties exploration relies on:
 //
-//  * is_acyclic() holds after every sweep_cycles() round, whatever random
-//    interleaving of adds, merges, and filterings preceded it;
-//  * the incremental map never under-approximates a DescendantsMap built
-//    fresh on the same clean e-graph (a missed reachability would let the
-//    O(1) pre-filter wave a known-cyclic merge through) — and in fact the
-//    two relations are asserted bit-equal, the stronger contract the
-//    exploration differential relies on.
-//
-// A second harness drives full explorations with random rule subsets,
-// incremental vs fresh, and demands bit-identical e-graphs.
+//  * after any random interleaving of adds, merges and filterings, a
+//    rebuild followed by filter_cycles() leaves the e-graph acyclic;
+//  * on that clean, acyclic e-graph, DescendantsMap::reaches() is exactly
+//    reachability over unfiltered e-nodes, checked against a plain DFS on
+//    every ordered class pair. The O(1) pre-filter's soundness rests on it:
+//    a missed reachability would wave a known-cyclic merge through;
+//  * full explorations with random rule subsets leave no cycle unfiltered
+//    after any iteration (k_max = k replays exactly the first k
+//    iterations), and produce bit-identical e-graphs at 1, 2 and 8
+//    search/apply threads.
 //
 // Everything is seeded (support/rng.h), so failures reproduce exactly.
 #include <gtest/gtest.h>
@@ -20,7 +19,6 @@
 #include <vector>
 
 #include "cycles/cycles.h"
-#include "cycles/incremental.h"
 #include "models/models.h"
 #include "optimizer/optimizer.h"
 #include "rewrite/rules.h"
@@ -40,25 +38,41 @@ std::vector<Id> tensor_classes(const EGraph& eg) {
   return out;
 }
 
-size_t reaches_mismatches(const ReachabilityMap& a, const ReachabilityMap& b,
-                          const std::vector<Id>& classes) {
+/// The classes reachable from `from` through at least one edge of an
+/// unfiltered e-node, indexed by class id.
+std::vector<bool> reachable_by_dfs(const EGraph& eg, Id from) {
+  std::vector<bool> seen(eg.num_ids(), false);
+  std::vector<Id> stack{from};
+  while (!stack.empty()) {
+    const Id cls = stack.back();
+    stack.pop_back();
+    for (const EClassNode& e : eg.eclass(cls).nodes) {
+      if (e.filtered) continue;
+      for (Id c : e.node.children) {
+        const Id child = eg.find(c);
+        if (seen[child]) continue;
+        seen[child] = true;
+        stack.push_back(child);
+      }
+    }
+  }
+  return seen;
+}
+
+/// Ordered class pairs on which the map and the DFS disagree.
+size_t reaches_mismatches(const EGraph& eg, const DescendantsMap& map) {
+  const std::vector<Id> classes = eg.canonical_classes();
   size_t mismatches = 0;
-  for (Id from : classes)
+  for (Id from : classes) {
+    const std::vector<bool> seen = reachable_by_dfs(eg, from);
     for (Id to : classes)
-      if (a.reaches(from, to) != b.reaches(from, to)) ++mismatches;
+      if (map.reaches(from, to) != seen[to]) ++mismatches;
+  }
   return mismatches;
 }
 
-size_t under_approximations(const ReachabilityMap& inc, const ReachabilityMap& fresh,
-                            const std::vector<Id>& classes) {
-  size_t misses = 0;
-  for (Id from : classes)
-    for (Id to : classes)
-      if (fresh.reaches(from, to) && !inc.reaches(from, to)) ++misses;
-  return misses;
-}
-
-TEST(CyclesFuzz, RandomChurnKeepsSweepAcyclicAndMapExact) {
+TEST(CyclesFuzz, RandomChurnSweepsAcyclicAndMapIsExact) {
+  size_t total_filtered = 0;
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     Rng rng(seed);
     Graph g;
@@ -69,7 +83,6 @@ TEST(CyclesFuzz, RandomChurnKeepsSweepAcyclicAndMapExact) {
     g.add_root(g.ewmul(inputs[2], inputs[3]));
     EGraph eg = seed_egraph(g);
     eg.rebuild();
-    IncrementalCycleAnalysis inc(eg);
 
     for (int round = 0; round < 10; ++round) {
       std::vector<Id> classes = tensor_classes(eg);
@@ -103,26 +116,21 @@ TEST(CyclesFuzz, RandomChurnKeepsSweepAcyclicAndMapExact) {
       }
 
       eg.rebuild();
-      inc.sweep_cycles();
+      total_filtered += filter_cycles(eg);
       ASSERT_TRUE(is_acyclic(eg)) << "seed " << seed << " round " << round;
-      inc.advance_epoch();
-
-      const DescendantsMap fresh(eg);
-      const std::vector<Id> canonical = eg.canonical_classes();
-      ASSERT_EQ(under_approximations(inc, fresh, canonical), 0u)
-          << "seed " << seed << " round " << round;
-      ASSERT_EQ(reaches_mismatches(inc, fresh, canonical), 0u)
+      const DescendantsMap map(eg);
+      ASSERT_EQ(reaches_mismatches(eg, map), 0u)
           << "seed " << seed << " round " << round;
     }
-    // The churn is small relative to the graph, so the scoped repair — not
-    // just the fallback — must have carried some epochs.
-    EXPECT_GT(inc.stats().incremental_updates, 0u) << "seed " << seed;
   }
+  // The merges must actually have closed cycles, or the sweep went untested.
+  EXPECT_GT(total_filtered, 0u);
 }
 
-TEST(CyclesFuzz, RandomRuleSubsetsExploreIdenticallyInBothModes) {
+TEST(CyclesFuzz, RandomRuleSubsetsStayAcyclicAndThreadIndependent) {
   const std::vector<Rewrite>& all_rules = default_rules();
   std::vector<ModelInfo> models = tiny_models();
+  size_t filtered_runs = 0;
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed * 0x5851f42d4c957f2dull);
     std::vector<Rewrite> rules;
@@ -130,29 +138,36 @@ TEST(CyclesFuzz, RandomRuleSubsetsExploreIdenticallyInBothModes) {
       if (rng.chance(0.4)) rules.push_back(r);
     if (rules.empty()) rules.push_back(all_rules[rng.below(all_rules.size())]);
     const ModelInfo& m = models[rng.below(models.size())];
+    const int k_max = 2 + static_cast<int>(rng.below(2));
 
-    TensatOptions opt;
-    opt.k_max = 2 + static_cast<int>(rng.below(2));
-    opt.k_multi = 1;
-    opt.node_limit = 1500;
-
-    opt.incremental_cycles = false;
-    EGraph fresh = seed_egraph(m.graph);
-    const ExploreStats fresh_stats = run_exploration(fresh, rules, opt);
-    opt.incremental_cycles = true;
-    EGraph inc = seed_egraph(m.graph);
-    const ExploreStats inc_stats = run_exploration(inc, rules, opt);
-
-    EXPECT_EQ(fresh_stats.iterations, inc_stats.iterations)
-        << "seed " << seed << " model " << m.name;
-    EXPECT_EQ(fresh_stats.applications, inc_stats.applications)
-        << "seed " << seed << " model " << m.name;
-    EXPECT_EQ(fresh.num_filtered(), inc.num_filtered())
-        << "seed " << seed << " model " << m.name;
-    EXPECT_EQ(fingerprint(fresh), fingerprint(inc))
-        << "seed " << seed << " model " << m.name << " rules " << rules.size();
-    EXPECT_TRUE(is_acyclic(inc)) << "seed " << seed;
+    for (int k = 1; k <= k_max; ++k) {
+      TensatOptions opt;
+      opt.k_max = k;
+      opt.k_multi = 1;
+      opt.node_limit = 1500;
+      std::string baseline;
+      for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+        opt.search_threads = threads;
+        opt.apply_threads = threads;
+        EGraph eg = seed_egraph(m.graph);
+        run_exploration(eg, rules, opt);
+        EXPECT_TRUE(is_acyclic(eg))
+            << "seed " << seed << " model " << m.name << " k=" << k
+            << " threads=" << threads;
+        if (threads == 1) {
+          baseline = fingerprint(eg);
+          if (eg.num_filtered() > 0) ++filtered_runs;
+        } else {
+          EXPECT_EQ(baseline, fingerprint(eg))
+              << "seed " << seed << " model " << m.name << " k=" << k
+              << " threads=" << threads << " rules " << rules.size();
+        }
+      }
+    }
   }
+  // Some of the explorations must have closed cycles, or the acyclicity
+  // checks above prove nothing about the filter.
+  EXPECT_GT(filtered_runs, 0u);
 }
 
 }  // namespace

@@ -173,12 +173,35 @@ TEST(Cycles, PaperFig3Scenario) {
 TEST(Cycles, DescendantsSnapshotIsStable) {
   Fixture f([](Graph& g) {
     const Id a = g.input("a", {2, 2});
+    const Id b = g.input("b", {2, 2});
     g.add_root(g.relu(a));
+    g.add_root(g.tanh(b));
   });
+  Graph& g = f.g;
+  const Id a = f.cls(g.input("a", {2, 2}));
+  const Id b = f.cls(g.input("b", {2, 2}));
+  const Id relu = f.cls(g.relu(g.input("a", {2, 2})));
+  const Id tanh = f.cls(g.tanh(g.input("b", {2, 2})));
+  // Merge the inputs and rebuild: one of the two ids is no longer canonical.
+  f.eg.merge(a, b);
+  f.eg.rebuild();
+  const Id kept = f.eg.find(a);
+  const Id merged_away = kept == a ? b : a;
+  ASSERT_NE(f.eg.find(merged_away), merged_away);
+
   const DescendantsMap d(f.eg);
-  // Unknown (later) ids just return false instead of crashing.
+  EXPECT_TRUE(d.reaches(relu, kept));
+  EXPECT_TRUE(d.reaches(tanh, kept));
+  // A merged-away id is not a row of the snapshot: false, even though its
+  // class is reachable.
+  EXPECT_FALSE(d.reaches(relu, merged_away));
+  EXPECT_FALSE(d.reaches(merged_away, kept));
+  // Unknown (later) ids and negative ids just return false instead of
+  // crashing.
   EXPECT_FALSE(d.reaches(9999, 0));
   EXPECT_FALSE(d.reaches(0, 9999));
+  EXPECT_FALSE(d.reaches(kInvalidId, kept));
+  EXPECT_FALSE(d.reaches(relu, -7));
 }
 
 }  // namespace

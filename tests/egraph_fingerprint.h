@@ -1,8 +1,7 @@
 // Shared test helper: a strong, order-stable fingerprint of an explored
-// e-graph. Used by the determinism and differential suites
-// (apply_pipeline_test, cycles_incremental_test, cycles_fuzz_test) — two
-// e-graphs with equal fingerprints are identical up to e-node order within a
-// class: same canonical class ids, same analysis data, same e-node sets,
+// e-graph. Used by the determinism suites and the absolute exploration pins
+// (apply_pipeline_test, cycles_fuzz_test, trace_test) — two e-graphs with
+// equal fingerprints are identical up to e-node order within a class: same canonical class ids, same analysis data, same e-node sets,
 // same filtered flags, and — via each e-node's insertion stamp — the same
 // global insertion order. The stamps are what make the determinism tests
 // strong: a commit that permuted insertion order across thread counts would

@@ -1,8 +1,8 @@
 // Tests for the optimization service (src/service/) and the session-
 // lifecycle fixes it depends on: canonical fingerprints, the LRU result
 // cache, cache-hit bit-identity, session resume, the scheduler's global
-// iteration clock, the cycle-journal attach guard, and a concurrent
-// mixed-submission stress run (exercised under ASan and TSan in CI).
+// iteration clock, and a concurrent mixed-submission stress run (exercised
+// under ASan and TSan in CI).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "cycles/incremental.h"
 #include "egraph/egraph.h"
 #include "ematch/scheduler.h"
 #include "models/models.h"
@@ -374,25 +373,23 @@ TEST(SessionLifecycle, StaleBanWouldReappearOnLocalClock) {
 TEST(SessionLifecycle, IterationBaseAccumulatesAcrossRuns) {
   Graph g = shared_matmuls(2);
   const Id root = g.single_root();
-  auto eg = std::make_unique<EGraph>();
-  auto mapping = eg->add_graph(g);
-  eg->set_root(mapping.at(root));
+  EGraph eg;
+  auto mapping = eg.add_graph(g);
+  eg.set_root(mapping.at(root));
 
   TensatOptions opt;
   opt.k_max = 3;
   opt.node_limit = 400;
   ExplorationSession session;
-  const ExploreStats first = run_exploration(*eg, default_rules(), opt, &session);
+  const ExploreStats first = run_exploration(eg, default_rules(), opt, &session);
   EXPECT_EQ(session.iteration_base, static_cast<size_t>(first.iterations));
   ASSERT_NE(session.scheduler, nullptr);
   EXPECT_EQ(session.scheduler->num_rules(), default_rules().size());
 
-  opt.node_limit = 400 + eg->num_enodes_total();
-  const ExploreStats second = run_exploration(*eg, default_rules(), opt, &session);
+  opt.node_limit = 400 + eg.num_enodes_total();
+  const ExploreStats second = run_exploration(eg, default_rules(), opt, &session);
   EXPECT_EQ(session.iteration_base,
             static_cast<size_t>(first.iterations + second.iterations));
-  // The persisted cycle analysis stayed attached to this e-graph.
-  if (session.cycles != nullptr) EXPECT_EQ(session.cycles->egraph(), eg.get());
 }
 
 TEST(SessionLifecycle, ResumedRuleSetMustMatch) {
@@ -409,39 +406,6 @@ TEST(SessionLifecycle, ResumedRuleSetMustMatch) {
   const std::vector<Rewrite> fewer(default_rules().begin(),
                                    default_rules().begin() + 3);
   EXPECT_THROW(run_exploration(eg, fewer, opt, &session), Error);
-}
-
-// ---------------------------------------------------------------------------
-// Session-lifecycle regressions: the cycle-journal attach guard
-
-TEST(SessionLifecycle, SecondJournalAttachThrows) {
-  Graph g = shared_matmuls(2);
-  const Id root = g.single_root();
-  EGraph eg;
-  auto mapping = eg.add_graph(g);
-  eg.set_root(mapping.at(root));
-
-  CycleJournal first;
-  eg.set_cycle_journal(&first);
-  CycleJournal second;
-  // Silently displacing a live journal would leave its owner resuming from
-  // a stale epoch; the e-graph now refuses.
-  EXPECT_THROW(eg.set_cycle_journal(&second), Error);
-  eg.set_cycle_journal(nullptr);  // detach is always allowed
-  eg.set_cycle_journal(&second);  // and re-attach after detach is too
-  eg.set_cycle_journal(nullptr);
-}
-
-TEST(SessionLifecycle, TwoIncrementalAnalysesOnOneEGraphThrow) {
-  Graph g = shared_matmuls(2);
-  const Id root = g.single_root();
-  EGraph eg;
-  auto mapping = eg.add_graph(g);
-  eg.set_root(mapping.at(root));
-  IncrementalCycleAnalysis inc(eg);
-  EXPECT_THROW(IncrementalCycleAnalysis second(eg), Error);
-  // The first analysis is still attached and functional.
-  EXPECT_EQ(inc.egraph(), &eg);
 }
 
 // ---------------------------------------------------------------------------
