@@ -77,15 +77,22 @@ class EGraph {
   /// Restores the congruence and hash-consing invariants after merges.
   void rebuild();
 
+  /// Points every id straight at its root without restoring congruence, so
+  /// find() is a pure read until the next merge even with merges pending.
+  /// The apply pipeline calls it between waves: a wave's planners read an
+  /// e-graph that earlier waves committed to but did not rebuild.
+  void compress_finds() { uf_.compress_all(); }
+
   [[nodiscard]] Id find(Id id) const { return uf_.find(id); }
   /// Canonicalizes an e-node's children.
   [[nodiscard]] TNode canonicalize(TNode node) const;
 
   /// Const hash-cons probe: the canonical e-class already containing `node`
   /// (children are e-class ids; they get canonicalized), or nullopt if the
-  /// node is not in the e-graph. Never mutates. On a clean (rebuilt) e-graph
-  /// this is a pure read, safe for concurrent callers — the staging half of
-  /// the apply pipeline's plan phase (see NodeBuffer).
+  /// node is not in the e-graph. Never mutates. With the union-find fully
+  /// compressed (rebuild() or compress_finds()) this is a pure read, safe
+  /// for concurrent callers — the staging half of the apply pipeline's plan
+  /// phase (see NodeBuffer).
   [[nodiscard]] std::optional<Id> lookup(TNode node) const;
 
   [[nodiscard]] const EClass& eclass(Id id) const { return classes_[find(id)]; }
@@ -192,9 +199,13 @@ class EGraph {
 /// path, so duplicates staged by concurrent planners collapse through the
 /// real hash-cons.
 ///
-/// The snapshot e-graph must be clean (rebuilt) while staging: stage() then
+/// Nothing may mutate the snapshot e-graph while staging, and its union-find
+/// must be fully compressed (rebuild() or compress_finds()): stage() then
 /// only performs pure reads, so any number of NodeBuffers can plan against
-/// the same e-graph from different threads.
+/// the same e-graph from different threads. The e-graph need not be clean:
+/// with merges pending, lookup() can miss a node that is stored under a
+/// stale key, and stage() then stages a duplicate that commit() adds and
+/// the next rebuild() merges by congruence.
 class NodeBuffer {
  public:
   explicit NodeBuffer(const EGraph& eg) : eg_(&eg) {}

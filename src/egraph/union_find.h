@@ -36,7 +36,8 @@ class UnionFind {
 
   /// Points every element directly at its root. Until the next unite(),
   /// find() performs no writes, which makes concurrent lookups safe; called
-  /// by EGraph::rebuild() so searches on a clean e-graph are read-only.
+  /// by EGraph::rebuild() so searches on a clean e-graph are read-only, and
+  /// by EGraph::compress_finds() between the apply pipeline's waves.
   void compress_all() {
     for (Id x = 0; x < static_cast<Id>(parent_.size()); ++x) parent_[x] = find(x);
   }

@@ -50,8 +50,18 @@ struct SecondsGuard {
 /// worker count and scheduling cannot influence any plan.
 constexpr size_t kPlanChunk = 128;
 
-/// Fewest pending applications for which stage 1 fans its chunks out over
-/// the pool; smaller iterations plan every chunk on the calling thread
+/// Stages 1 and 2 run in waves of this many applications (32 chunks): each
+/// wave plans against the e-graph as the earlier waves committed it, then
+/// commits, and once a node or time limit trips no later wave is planned.
+/// On BERT at N_max 50000 the node-limited iteration queues over 300k
+/// applications, and the limit trips after the first few thousand commit;
+/// planning them all up front staged ~565k nodes, with ~460 MB of heap in
+/// use. Wave boundaries are a pure function of the application index, like
+/// the chunks, so the plans stay independent of the worker count.
+constexpr size_t kPlanWave = 32 * kPlanChunk;
+
+/// Fewest applications in a wave for which stage 1 fans its chunks out over
+/// the pool; smaller waves plan every chunk on the calling thread
 /// (identical plans either way — only the dispatch changes). Measured
 /// break-even on a 4-core x86 host, median of 40 interleaved explorations
 /// at apply_threads 1 and 0 per iteration, over every iteration of 2+
@@ -83,8 +93,9 @@ struct ApplyPlan {
 /// filter (Algorithm 2, lines 3-9: skip the substitution if a matched class
 /// is a descendant of, or is, a class we would merge into; `dmap` is the
 /// iteration's descendants map under efficient filtering, null otherwise),
-/// and plans the target instantiation against the clean e-graph snapshot.
-/// Writes only into `plan` and `chunk`.
+/// and plans the target instantiation against the e-graph as of the wave's
+/// start: committed by earlier waves, not rebuilt. Writes only into `plan`
+/// and `chunk`.
 void plan_application(const EGraph& eg, const Application& app, ApplyPlan& plan,
                       PlanChunk& chunk, const DescendantsMap* dmap) {
   const Rewrite& rule = *app.rule;
@@ -319,10 +330,11 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
       if (!task.joint) stats.matches_found += matches[task.index].size();
 
     // APPLY. The phase is a pipeline (mirroring egg's deferred-invariant
-    // design): COLLECT enumerates the pending applications per rule, stage 1
-    // evaluates every application read-only (fans out over apply_threads),
-    // stage 2 commits nodes and merges serially in plan order — the
-    // determinism anchor — and stage 3 is the single rebuild below.
+    // design): COLLECT enumerates the pending applications per rule, then
+    // stages 1 and 2 alternate in waves of kPlanWave applications — stage 1
+    // plans a wave read-only (fans out over apply_threads), stage 2 commits
+    // its nodes and merges serially in plan order, the determinism anchor —
+    // and stage 3 is the single rebuild below.
     //
     // COLLECT walks rules with multi-pattern rules first: they introduce the
     // merged operators the search is really after, and must not be starved
@@ -380,81 +392,100 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
       }
     }
 
-    // STAGE 1 (parallel, read-only): chunks of applications plan against the
-    // clean e-graph; workers share only the e-graph and the descendants map.
-    // Which worker plans which chunk is scheduling-dependent; the chunks and
-    // their plans are not.
-    const size_t num_chunks = (apps.size() + kPlanChunk - 1) / kPlanChunk;
-    std::vector<PlanChunk> chunks;
-    std::vector<ApplyPlan> plans;
-    // Rule conditions are arbitrary user callbacks, so planning itself can
-    // blow the time limit: every worker re-checks it per application and the
-    // abort flag stops the rest of the pool. Un-planned applications simply
-    // stay non-viable — stage 2 sees the blown limit immediately and stops
-    // the phase. (Node limits need no stage-1 check: planning never grows
-    // the e-graph.)
-    std::atomic<bool> plan_timed_out{false};
-    {
-      const trace::ScopedSpan plan_span("explore/plan", stats.apply_seconds);
-      chunks.reserve(num_chunks);
-      for (size_t c = 0; c < num_chunks; ++c) chunks.emplace_back(eg);
-      plans.resize(apps.size());
-      const size_t plan_threads =
-          apps.size() < kMinParallelPlanWork ? 1 : options.apply_threads;
-      parallel_for(num_chunks, plan_threads, [&](size_t c) {
-        // Per-chunk span on the worker's own lane: the per-thread view of
-        // stage-1 occupancy (arg = chunk index).
-        const trace::ScopedSpan chunk_span("apply/plan_chunk",
-                                           static_cast<int64_t>(c));
-        const size_t begin = c * kPlanChunk;
-        const size_t end = std::min(begin + kPlanChunk, apps.size());
-        for (size_t i = begin; i < end; ++i) {
-          if (plan_timed_out.load(std::memory_order_relaxed)) return;
-          if (timer.seconds() > options.explore_time_limit_s) {
-            plan_timed_out.store(true, std::memory_order_relaxed);
-            return;
-          }
-          plan_application(eg, apps[i], plans[i], chunks[c],
-                           dmap ? &*dmap : nullptr);
-        }
-      });
-    }
-
-    // STAGE 2 (serial, plan order): commit one application at a time,
-    // interleaving inserts and merges. Node and time limits are enforced
-    // between applications; exceeding the time limit stops the whole apply
-    // phase (the stop reason is recorded after the rebuild below).
+    // STAGES 1-2, one wave of kPlanWave applications at a time. A wave plans
+    // against the e-graph as the earlier waves left it: committed, not
+    // rebuilt. That is sound because stage 2 re-checks shapes and merge
+    // soundness on the live data at commit time; a plan may now also see
+    // joins that earlier waves made. The waves, like the chunks, are fixed
+    // by the application index and commit serially in order, so every
+    // wave's snapshot, and so the e-graph, is the same for any thread count.
+    std::vector<Id> committed;
     bool hit_node_limit = false;
     bool hit_time_limit = false;
-    {
-      const trace::ScopedSpan commit_span("explore/commit",
-                                          stats.apply_seconds);
-      std::vector<Id> committed;
-      for (size_t i = 0; i < apps.size(); ++i) {
-        if (eg.num_enodes_total() >= options.node_limit) {
-          hit_node_limit = true;
-          break;
-        }
-        if (timer.seconds() > options.explore_time_limit_s) {
-          hit_time_limit = true;
-          break;
-        }
-        if (!plans[i].viable) continue;
+    const auto limit_tripped = [&] {
+      hit_node_limit = eg.num_enodes_total() >= options.node_limit;
+      hit_time_limit =
+          !hit_node_limit && timer.seconds() > options.explore_time_limit_s;
+      return hit_node_limit || hit_time_limit;
+    };
+    for (size_t wave = 0; wave < apps.size(); wave += kPlanWave) {
+      const size_t wave_end = std::min(wave + kPlanWave, apps.size());
+      // Earlier waves' merges can leave find() paths that would halve (a
+      // write) under the concurrent planners; point every id at its root.
+      // The descendants map stays the iteration's: ids created since answer
+      // false, so the pre-filter stays sound, and the sweep after the
+      // rebuild catches every cycle it lets through.
+      if (wave > 0) eg.compress_finds();
+
+      // STAGE 1 (parallel, read-only): the wave's chunks plan against the
+      // e-graph; workers share only the e-graph and the descendants map.
+      // Which worker plans which chunk is scheduling-dependent; the chunks
+      // and their plans are not.
+      const size_t first_chunk = wave / kPlanChunk;
+      const size_t num_chunks = (wave_end - wave + kPlanChunk - 1) / kPlanChunk;
+      std::vector<PlanChunk> chunks;
+      std::vector<ApplyPlan> plans;
+      // Rule conditions are arbitrary user callbacks, so planning itself can
+      // blow the time limit: every worker re-checks it per application and
+      // the abort flag stops the rest of the pool. Un-planned applications
+      // simply stay non-viable — stage 2 sees the blown limit immediately
+      // and stops the phase. (Node limits need no stage-1 check: planning
+      // never grows the e-graph.)
+      std::atomic<bool> plan_timed_out{false};
+      {
+        const trace::ScopedSpan plan_span("explore/plan", stats.apply_seconds);
+        chunks.reserve(num_chunks);
+        for (size_t c = 0; c < num_chunks; ++c) chunks.emplace_back(eg);
+        plans.resize(wave_end - wave);
+        const size_t plan_threads =
+            wave_end - wave < kMinParallelPlanWork ? 1 : options.apply_threads;
+        parallel_for(num_chunks, plan_threads, [&](size_t c) {
+          // Per-chunk span on the worker's own lane: the per-thread view of
+          // stage-1 occupancy (arg = the chunk's index in the iteration).
+          const trace::ScopedSpan chunk_span(
+              "apply/plan_chunk", static_cast<int64_t>(first_chunk + c));
+          const size_t begin = wave + c * kPlanChunk;
+          const size_t end = std::min(begin + kPlanChunk, wave_end);
+          for (size_t i = begin; i < end; ++i) {
+            if (plan_timed_out.load(std::memory_order_relaxed)) return;
+            if (timer.seconds() > options.explore_time_limit_s) {
+              plan_timed_out.store(true, std::memory_order_relaxed);
+              return;
+            }
+            plan_application(eg, apps[i], plans[i - wave], chunks[c],
+                             dmap ? &*dmap : nullptr);
+          }
+        });
+      }
+
+      // STAGE 2 (serial, plan order): commit one application at a time,
+      // interleaving inserts and merges. Node and time limits are enforced
+      // between applications; tripping either stops the whole apply phase
+      // (the stop reason is recorded after the rebuild below).
+      const trace::ScopedSpan commit_span("explore/commit", stats.apply_seconds);
+      for (size_t i = wave; i < wave_end && !limit_tripped(); ++i) {
+        if (!plans[i - wave].viable) continue;
         RuleTelemetry& rt = stats.rules[apps[i].rule_index];
         const SecondsGuard commit_guard(rt.seconds);
         const size_t nodes_before = eg.num_enodes_total();
-        if (commit_application(eg, apps[i], plans[i], chunks[i / kPlanChunk],
+        if (commit_application(eg, apps[i], plans[i - wave],
+                               chunks[(i - wave) / kPlanChunk],
                                options.cycle_filter, committed)) {
           ++stats.applications;
           ++rt.committed;
         }
         rt.nodes_added += eg.num_enodes_total() - nodes_before;
       }
-      // Free the staging arenas and applications inside the span: on large
-      // iterations the teardown is a measurable share of the apply phase.
+      // Free the wave's staging arenas inside the span, and after the last
+      // wave the applications too: on large iterations the teardown is a
+      // measurable share of the apply phase. Once a limit has tripped, by
+      // now or before the next wave's first commit, no later wave is planned.
       chunks.clear();
       plans.clear();
-      apps.clear();
+      if (wave_end == apps.size() || limit_tripped()) {
+        apps.clear();
+        break;
+      }
     }
 
     // STAGE 3: restore congruence, then filter cycles.

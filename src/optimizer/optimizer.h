@@ -52,12 +52,14 @@ struct TensatOptions {
   size_t search_threads = 1;
   /// Worker threads for stage 1 of the apply pipeline: per-pending-
   /// application condition checks, cycle pre-filters, and target planning,
-  /// all read-only against the clean e-graph. 0 (default) = one per hardware
+  /// all read-only against the e-graph as of the wave's start (stages 1 and
+  /// 2 alternate in waves of 4,096 applications; earlier waves have
+  /// committed to it, no rebuild since). 0 (default) = one per hardware
   /// thread. Any value yields a bit-identical e-graph: plans are independent
-  /// and partitioned into index-based chunks, and the stage-2 commit replays
-  /// them serially in plan order, which fixes the node insertion and merge
-  /// order regardless of worker scheduling. Iterations with fewer than 512
-  /// pending applications (kMinParallelPlanWork) plan on the calling
+  /// and partitioned into index-based chunks and waves, and the stage-2
+  /// commit replays each wave serially in plan order, which fixes the node
+  /// insertion and merge order regardless of worker scheduling. Waves with
+  /// fewer than 512 applications (kMinParallelPlanWork) plan on the calling
   /// thread: below that, waking workers costs more than it saves.
   size_t apply_threads = 0;
 };
@@ -76,7 +78,9 @@ struct RuleTelemetry {
   /// multi-pattern rules). Truncated at budget+1 on the iteration a budget
   /// blows — the same truncation the apply phase sees.
   size_t matches{0};
-  /// Applications queued for the apply pipeline (within budget).
+  /// Applications queued for the apply pipeline (within budget). Not all
+  /// of them need be planned: once a node or time limit trips, the waves
+  /// after it are never planned.
   size_t planned{0};
   /// Applications that actually changed the e-graph at commit.
   size_t committed{0};

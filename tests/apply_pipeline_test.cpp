@@ -1,7 +1,8 @@
-// The apply pipeline (optimizer/optimizer.cpp): stage 1 plans every pending
-// application read-only against the clean e-graph, stage 2 commits staged
-// nodes and merges serially, one application at a time in plan order, and
-// stage 3 is the single rebuild. These tests pin its two contracts:
+// The apply pipeline (optimizer/optimizer.cpp): in waves of 4,096 pending
+// applications, stage 1 plans a wave read-only against the e-graph as the
+// earlier waves committed it, and stage 2 commits the wave's staged nodes
+// and merges serially, one application at a time in plan order; stage 3 is
+// the single rebuild. These tests pin its two contracts:
 //
 //  * determinism: the explored e-graph is bit-identical (same class ids,
 //    same e-node sets, same filtered flags, same extracted graph) for any
@@ -11,8 +12,8 @@
 //    NodeBuffer::commit) produces exactly the e-graph instantiate() does,
 //    except that a failed instantiation leaves no partial nodes behind.
 //
-// ExploredEGraphsPinned also pins the explored e-graphs themselves to
-// recorded digests, sessions included.
+// ExploredEGraphsPinned and MultiWaveExplorationsPinned also pin the
+// explored e-graphs themselves to recorded digests, sessions included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,6 +33,7 @@
 #include "rewrite/rules.h"
 #include "service/fingerprint.h"
 #include "tests/egraph_fingerprint.h"
+#include "trace/trace.h"
 
 namespace tensat {
 namespace {
@@ -219,6 +221,80 @@ TEST(ApplyPipeline, ExploredEGraphsPinned) {
   run_exploration(eg, default_rules(), opt, &session);
   check("session call 2", eg, 0x1871abcf69fafb8full);
   EXPECT_GT(eg.num_filtered(), filtered_first);
+}
+
+// ---- Waves ------------------------------------------------------------------
+
+/// Number of `name` spans the tracer recorded.
+size_t span_count(const trace::Summary& summary, const std::string& name) {
+  for (const trace::Summary::SpanAgg& span : summary.spans)
+    if (span.name == name) return span.count;
+  return 0;
+}
+
+TEST(ApplyPipeline, MultiWaveExplorationsPinned) {
+  // Iterations that queue more than one wave (4,096 applications) of work:
+  // every wave after the first plans against the e-graph the earlier waves
+  // committed to, with the union-find compressed but not rebuilt. The pins
+  // hold at every thread count, so the wave snapshots are thread-independent.
+  struct WavePin {
+    std::string name;
+    Graph graph;
+    int k_max;
+    size_t node_limit;
+    StopReason stop;
+    uint64_t digest;
+  };
+  const std::vector<WavePin> pins = {
+      // These two read the same digests as when every plan of an iteration
+      // read the iteration's start: the waves' snapshots change nothing.
+      // 4 waves over 3 iterations.
+      {"NasRNN(3,16,512,4)", make_nasrnn(3, 16, 512, 4), 3, 50000,
+       StopReason::kIterLimit, 0x66edcc5fdac087d5ull},
+      // The node limit trips inside the second iteration's second wave.
+      {"NasRNN(1,2,8)", make_nasrnn(1, 2, 8), 8, 25000, StopReason::kNodeLimit,
+       0xddd93b79ab61362aull},
+      // 7 waves over 3 iterations. Read against the iteration's start, this
+      // exploration gave 0xaf965890b1b5a30e with 12 fewer applications: a
+      // later wave's conditions can see joins that earlier waves committed
+      // (joins only grow weight_only and only clear concat histories), so
+      // it accepts applications the iteration-start snapshot rejected.
+      {"BERT(4,64,512)", make_bert(4, 64, 512), 3, 50000,
+       StopReason::kIterLimit, 0x157325d5e37dd879ull},
+  };
+  for (const WavePin& p : pins) {
+    TensatOptions opt = explore_options();
+    opt.k_max = p.k_max;
+    opt.k_multi = 2;
+    opt.node_limit = p.node_limit;
+    for (size_t threads : {1u, 2u, 8u}) {
+      opt.apply_threads = threads;
+      const std::string name = p.name + " apply_threads=" + std::to_string(threads);
+      trace::Tracer tracer;
+      tracer.install();
+      EGraph eg = seed_egraph(p.graph);
+      const ExploreStats stats = run_exploration(eg, default_rules(), opt);
+      tracer.uninstall();
+      const trace::Summary summary = tracer.summary();
+      EXPECT_GT(span_count(summary, "explore/plan"),
+                static_cast<size_t>(stats.iterations))
+          << name;
+      EXPECT_EQ(span_count(summary, "explore/plan"),
+                span_count(summary, "explore/commit"))
+          << name;
+      EXPECT_EQ(stats.stop, p.stop) << name;
+      EXPECT_TRUE(is_acyclic(eg)) << name;
+      EXPECT_EQ(egraph_digest(eg), p.digest)
+          << name << ": got 0x" << std::hex << egraph_digest(eg);
+      if (p.stop == StopReason::kNodeLimit) {
+        // The limit stopped the planning: the planned chunks, of at most 128
+        // applications each, cannot hold every queued application.
+        size_t queued = 0;
+        for (const RuleTelemetry& r : stats.rules) queued += r.planned;
+        EXPECT_LT(span_count(summary, "apply/plan_chunk") * 128, queued) << name;
+      }
+    }
+  }
 }
 
 // ---- plan/commit parity with instantiate() ---------------------------------
