@@ -125,6 +125,16 @@ void EGraph::rebuild() {
     todo.erase(std::unique(todo.begin(), todo.end()), todo.end());
     for (Id id : todo) repair(find(id));
   }
+  // Classes two of whose own e-nodes became congruent: repair() had nothing
+  // to merge, so it left both copies in the class. They are deduplicated
+  // here, once every merge has landed, so each is deduplicated once; a
+  // class is only re-queued on pending_ when it gains e-nodes by a merge.
+  for (Id& id : congruent_) id = find(id);
+  std::sort(congruent_.begin(), congruent_.end());
+  congruent_.erase(std::unique(congruent_.begin(), congruent_.end()),
+                   congruent_.end());
+  for (Id id : congruent_) dedup_nodes(id);
+  congruent_.clear();
   // Compact the op-index: merges leave stale (now non-canonical) ids behind;
   // re-canonicalizing here keeps later classes_with_op() calls cheap.
   for (std::vector<Id>& bucket : op_index_) {
@@ -156,7 +166,8 @@ void EGraph::repair(Id id) {
     auto& sh = shard(p_node);
     auto it = sh.find(p_node);
     if (it != sh.end()) {
-      merge(p_class, it->second);
+      // No merge means the two congruent e-nodes are already in one class.
+      if (!merge(p_class, it->second)) congruent_.push_back(p_class);
       it->second = find(p_class);
     } else {
       sh.emplace(p_node, find(p_class));
@@ -172,14 +183,18 @@ void EGraph::repair(Id id) {
     cls2.parents.emplace_back(p_node, it->second);
   }
 
-  // Canonicalize and deduplicate this class's own nodes. Duplicates keep the
+  dedup_nodes(find(id));  // `merge` above may have moved us
+}
+
+void EGraph::dedup_nodes(Id id) {
+  // Canonicalize and deduplicate the class's own nodes. Duplicates keep the
   // earliest stamp; a node is filtered if any duplicate was (the filter list
   // identifies nodes structurally).
-  EClass& cls3 = classes_[find(id)];
+  EClass& cls = classes_[id];
   std::unordered_map<TNode, size_t, TNodeHash> index;
   std::vector<EClassNode> nodes;
-  nodes.reserve(cls3.nodes.size());
-  for (EClassNode& entry : cls3.nodes) {
+  nodes.reserve(cls.nodes.size());
+  for (EClassNode& entry : cls.nodes) {
     entry.node = canonicalize(std::move(entry.node));
     auto it = index.find(entry.node);
     if (it == index.end()) {
@@ -195,7 +210,7 @@ void EGraph::repair(Id id) {
       }
     }
   }
-  cls3.nodes = std::move(nodes);
+  cls.nodes = std::move(nodes);
 }
 
 std::vector<Id> EGraph::canonical_classes() const {

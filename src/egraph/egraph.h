@@ -148,6 +148,9 @@ class EGraph {
 
  private:
   void repair(Id id);
+  /// Canonicalizes the children of canonical class `id`'s e-nodes and drops
+  /// the e-nodes that thereby become duplicates.
+  void dedup_nodes(Id id);
   static void join_data(ValueInfo& into, const ValueInfo& from);
   /// Creates a brand-new singleton class for `node` (already canonical and
   /// known absent from the hash-cons) carrying `data`. The shared tail of
@@ -184,6 +187,9 @@ class EGraph {
       static_cast<size_t>(Op::kOpCount)};
   size_t num_enodes_total_{0};
   std::vector<Id> pending_;
+  /// Classes in which repair() found two e-nodes of the class congruent;
+  /// rebuild() deduplicates them after its repair loop.
+  std::vector<Id> congruent_;
   uint64_t version_{0};
   uint32_t next_stamp_{0};
   size_t num_filtered_{0};

@@ -33,6 +33,7 @@
 #include "rewrite/rules.h"
 #include "service/fingerprint.h"
 #include "tests/egraph_fingerprint.h"
+#include "tests/egraph_invariants.h"
 #include "trace/trace.h"
 
 namespace tensat {
@@ -187,8 +188,11 @@ TEST(ApplyPipeline, ExploredEGraphsPinned) {
     uint64_t digest;
   };
   const std::vector<ModelPin> model_pins = {
-      {"BERT(1,8,32)", make_bert(1, 8, 32), 2, 2, 0xc8454746edd4784eull},
-      {"BERT(1,8,32)", make_bert(1, 8, 32), 4, 2, 0x254f19cbb08dc860ull},
+      // Both BERT digests moved when rebuild() began deduplicating the e-nodes
+      // of a class that two of them became congruent in (they were
+      // 0xc8454746edd4784e and 0x254f19cbb08dc860 with the copies kept).
+      {"BERT(1,8,32)", make_bert(1, 8, 32), 2, 2, 0x162c1d30fb788cebull},
+      {"BERT(1,8,32)", make_bert(1, 8, 32), 4, 2, 0xb55a758641999200ull},
       {"NasRNN(1,2,8)", make_nasrnn(1, 2, 8), 2, 1, 0xeaa752d6c1e7f410ull},
       {"NasRNN(1,2,8)", make_nasrnn(1, 2, 8), 4, 1, 0x9efa093424f279b2ull},
   };
@@ -219,7 +223,8 @@ TEST(ApplyPipeline, ExploredEGraphsPinned) {
   eg.set_root(eg.add_graph(second).at(root));
   opt.node_limit += eg.num_enodes_total();
   run_exploration(eg, default_rules(), opt, &session);
-  check("session call 2", eg, 0x1871abcf69fafb8full);
+  // Moved with the deduplication above (0x1871abcf69fafb8f with the copies).
+  check("session call 2", eg, 0x13cc6868e901fe60ull);
   EXPECT_GT(eg.num_filtered(), filtered_first);
 }
 
@@ -259,8 +264,10 @@ TEST(ApplyPipeline, MultiWaveExplorationsPinned) {
       // later wave's conditions can see joins that earlier waves committed
       // (joins only grow weight_only and only clear concat histories), so
       // it accepts applications the iteration-start snapshot rejected.
+      // In waves, it read 0x157325d5e37dd879 until rebuild() deduplicated
+      // congruent e-nodes within a class (133 copies in 28 classes).
       {"BERT(4,64,512)", make_bert(4, 64, 512), 3, 50000,
-       StopReason::kIterLimit, 0x157325d5e37dd879ull},
+       StopReason::kIterLimit, 0x69ed605a378f16d8ull},
   };
   for (const WavePin& p : pins) {
     TensatOptions opt = explore_options();
@@ -283,7 +290,7 @@ TEST(ApplyPipeline, MultiWaveExplorationsPinned) {
                 span_count(summary, "explore/commit"))
           << name;
       EXPECT_EQ(stats.stop, p.stop) << name;
-      EXPECT_TRUE(is_acyclic(eg)) << name;
+      EXPECT_EQ(egraph_invariant_violations(eg), "") << name;
       EXPECT_EQ(egraph_digest(eg), p.digest)
           << name << ": got 0x" << std::hex << egraph_digest(eg);
       if (p.stop == StopReason::kNodeLimit) {

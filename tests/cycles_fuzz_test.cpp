@@ -7,10 +7,11 @@
 //    reachability over unfiltered e-nodes, checked against a plain DFS on
 //    every ordered class pair. The O(1) pre-filter's soundness rests on it:
 //    a missed reachability would wave a known-cyclic merge through;
-//  * full explorations with random rule subsets leave no cycle unfiltered
-//    after any iteration (k_max = k replays exactly the first k
-//    iterations), and produce bit-identical e-graphs at 1, 2 and 8
-//    search/apply threads.
+//  * full explorations with random rule subsets leave no cycle unfiltered,
+//    no e-node stored twice and no hash-cons entry astray
+//    (tests/egraph_invariants.h) after any iteration (k_max = k replays
+//    exactly the first k iterations), and produce bit-identical e-graphs at
+//    1, 2 and 8 search/apply threads.
 //
 // Everything is seeded (support/rng.h), so failures reproduce exactly.
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include "rewrite/rules.h"
 #include "support/rng.h"
 #include "tests/egraph_fingerprint.h"
+#include "tests/egraph_invariants.h"
 
 namespace tensat {
 namespace {
@@ -151,7 +153,7 @@ TEST(CyclesFuzz, RandomRuleSubsetsStayAcyclicAndThreadIndependent) {
         opt.apply_threads = threads;
         EGraph eg = seed_egraph(m.graph);
         run_exploration(eg, rules, opt);
-        EXPECT_TRUE(is_acyclic(eg))
+        EXPECT_EQ(egraph_invariant_violations(eg), "")
             << "seed " << seed << " model " << m.name << " k=" << k
             << " threads=" << threads;
         if (threads == 1) {

@@ -4,7 +4,7 @@
 //   * congruence closure is complete (same op + equivalent children =>
 //     same class) and sound w.r.t. the oracle's closure,
 //   * hash-consing is canonical (re-adding any canonicalized node returns
-//     its own class),
+//     its own class) and no e-node is stored twice (tests/egraph_invariants.h),
 //   * node counts never grow from rebuild (dedup only shrinks).
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 
 #include "egraph/egraph.h"
 #include "support/rng.h"
+#include "tests/egraph_invariants.h"
 
 namespace tensat {
 namespace {
@@ -114,6 +115,11 @@ TEST_P(EGraphVsOracle, CongruenceClosureMatches) {
       oracle.merge(a, b);
     } else {
       eg.rebuild();
+      // No e-node is stored twice, in one class or two, and the hash-cons
+      // agrees with the stored nodes. (Random merges close cycles, which
+      // only the exploration's sweep would filter.)
+      ASSERT_EQ(egraph_invariant_violations(eg, /*acyclic=*/false), "")
+          << "seed " << GetParam() << " step " << step;
     }
   }
   eg.rebuild();
@@ -126,6 +132,9 @@ TEST_P(EGraphVsOracle, CongruenceClosureMatches) {
           << "terms " << i << ", " << j << " (seed " << GetParam() << ")";
     }
   }
+
+  EXPECT_EQ(egraph_invariant_violations(eg, /*acyclic=*/false), "")
+      << "seed " << GetParam();
 
   // Hash-cons canonicality: re-adding every canonical node hits its class.
   for (Id cls : eg.canonical_classes()) {

@@ -230,6 +230,31 @@ TEST(EGraph, DuplicateNodesCollapseOnMerge) {
   EXPECT_EQ(eg.eclass(mapping.at(fa)).nodes.size(), 1u);
 }
 
+TEST(EGraph, CongruentNodesOfOneClassDeduplicate) {
+  // The class {relu(a), relu(b)} already holds both nodes when a and b
+  // merge. repair() then finds the two relu nodes congruent, with no
+  // classes left to merge, and rebuild() must still drop one copy.
+  Graph g;
+  const Id a = g.input("a", {2, 2});
+  const Id b = g.input("b", {2, 2});
+  const Id fa = g.relu(a);
+  const Id fb = g.relu(b);
+  g.add_root(fa);
+  g.add_root(fb);
+  EGraph eg;
+  auto mapping = eg.add_graph(g);
+  eg.merge(mapping.at(fa), mapping.at(fb));
+  eg.rebuild();
+  ASSERT_EQ(eg.eclass(mapping.at(fa)).nodes.size(), 2u);
+  eg.merge(mapping.at(a), mapping.at(b));
+  eg.rebuild();
+  EXPECT_EQ(eg.eclass(mapping.at(fa)).nodes.size(), 1u);
+  size_t stored = 0;
+  for (Id cls : eg.canonical_classes()) stored += eg.eclass(cls).nodes.size();
+  EXPECT_EQ(stored, eg.num_enodes_total());
+  EXPECT_EQ(eg.num_enodes(), eg.num_enodes_total());
+}
+
 TEST(EGraph, NumClassesTracksMerges) {
   Graph g;
   const Id a = g.input("a", {2, 2});
