@@ -126,9 +126,8 @@ void EGraph::rebuild() {
     for (Id id : todo) repair(find(id));
   }
   // Classes two of whose own e-nodes became congruent: repair() had nothing
-  // to merge, so it left both copies in the class. They are deduplicated
-  // here, once every merge has landed, so each is deduplicated once; a
-  // class is only re-queued on pending_ when it gains e-nodes by a merge.
+  // to merge, so it left both copies in the class. Deduplicate each such
+  // class once, after every merge has landed.
   for (Id& id : congruent_) id = find(id);
   std::sort(congruent_.begin(), congruent_.end());
   congruent_.erase(std::unique(congruent_.begin(), congruent_.end()),

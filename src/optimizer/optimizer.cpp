@@ -54,7 +54,7 @@ constexpr size_t kPlanChunk = 128;
 /// wave plans against the e-graph as the earlier waves committed it, then
 /// commits, and once a node or time limit trips no later wave is planned.
 /// On BERT at N_max 50000 the node-limited iteration queues over 300k
-/// applications, and the limit trips after the first few thousand commit;
+/// applications, and the limit trips after a few percent of them commit;
 /// planning them all up front staged ~565k nodes, with ~460 MB of heap in
 /// use. Wave boundaries are a pure function of the application index, like
 /// the chunks, so the plans stay independent of the worker count.
@@ -152,8 +152,8 @@ bool commit_application(EGraph& eg, const Application& app, const ApplyPlan& pla
     committed.push_back(*id);
   }
   // Re-verify merge soundness on the live analysis data: commits earlier in
-  // the batch can have joined analysis values (e.g. cleared a concat
-  // history) since the plan compared against the snapshot.
+  // the wave can have joined analysis values (e.g. cleared a concat
+  // history) since the plan compared against the wave's snapshot.
   for (size_t k = 0; k < committed.size(); ++k)
     if (!merge_sound(eg.data(app.src_classes[k]), eg.data(committed[k])))
       return false;
@@ -395,8 +395,8 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
     // STAGES 1-2, one wave of kPlanWave applications at a time. A wave plans
     // against the e-graph as the earlier waves left it: committed, not
     // rebuilt. That is sound because stage 2 re-checks shapes and merge
-    // soundness on the live data at commit time; a plan may now also see
-    // joins that earlier waves made. The waves, like the chunks, are fixed
+    // soundness on the live data at commit time; a plan can also see joins
+    // that earlier waves made. The waves, like the chunks, are fixed
     // by the application index and commit serially in order, so every
     // wave's snapshot, and so the e-graph, is the same for any thread count.
     std::vector<Id> committed;
