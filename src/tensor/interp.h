@@ -39,10 +39,14 @@ class Interpreter {
   std::unordered_map<Id, Value> run(const Graph& g);
 
   /// Evaluates and returns the tensors at the graph's roots, in root order.
+  /// Frees each intermediate value after its last reader has run, so a run
+  /// holds the graph's live values, not all of them.
   std::vector<Tensor> run_roots(const Graph& g);
 
  private:
   Tensor fetch(const std::string& id_text);
+  /// The value of node `id`, reading its children's values from `values`.
+  Value eval(const Graph& g, Id id, const std::unordered_map<Id, Value>& values);
   uint64_t seed_;
   std::unordered_map<std::string, Tensor> feeds_;
 };

@@ -110,5 +110,37 @@ TEST(Interp, RunsEveryTinyModel) {
   }
 }
 
+/// run_roots frees each value after its last reader; it must still return
+/// exactly the root tensors run() computes.
+void expect_run_roots_matches_run(const Graph& g, const std::string& context) {
+  const auto values = Interpreter(13).run(g);
+  const auto roots = Interpreter(13).run_roots(g);
+  ASSERT_EQ(roots.size(), g.roots().size()) << context;
+  for (size_t i = 0; i < roots.size(); ++i) {
+    const Tensor* t = std::get_if<Tensor>(&values.at(g.roots()[i]));
+    ASSERT_NE(t, nullptr) << context;
+    EXPECT_EQ(roots[i].dims(), t->dims()) << context << " root " << i;
+    EXPECT_EQ(Tensor::max_abs_diff(roots[i], *t), 0.0) << context << " root " << i;
+  }
+}
+
+TEST(Interp, RunRootsFreeingMatchesRun) {
+  for (const ModelInfo& m : tiny_models()) expect_run_roots_matches_run(m.graph, m.name);
+  // Split tuples read by both projections, an operand used twice by one
+  // node, a root that another root also reads, and a repeated root.
+  Graph g;
+  const Id a = g.input("a", {2, 3});
+  const Id b = g.input("b", {2, 5});
+  const Id sp = g.split(1, g.concat(1, {a, b}));
+  const Id s0 = g.split0(sp);
+  const Id s1 = g.split1(sp);
+  const Id twice = g.ewadd(s0, s0);
+  g.add_root(twice);
+  g.add_root(g.relu(twice));
+  g.add_root(g.ewmul(s1, s1));
+  g.add_root(twice);
+  expect_run_roots_matches_run(g, "split/repeated children");
+}
+
 }  // namespace
 }  // namespace tensat
