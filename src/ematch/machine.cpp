@@ -21,6 +21,8 @@ struct VM {
   size_t matches_left;
   size_t steps_left;
   std::vector<Id> regs;
+  /// Registers copied into a match row, in row order (MatchRows).
+  std::vector<Reg> row_regs;
   std::vector<Choice> stack;
   /// Candidate root classes per kScan instruction, keyed by pc. Computed
   /// lazily on first use so single-pattern programs pay nothing.
@@ -132,37 +134,41 @@ struct VM {
     }
   }
 
-  /// Single-pattern entry: register 0 holds the candidate root class.
-  bool run_rooted(Id root_class, std::vector<Subst>& out) {
-    regs.assign(prog.num_regs, kInvalidId);
-    regs[0] = eg.find(root_class);
-    return run([&] {
-      Subst subst;
-      for (const auto& [var, reg] : prog.vars) subst.bind(var, regs[reg]);
-      out.push_back(std::move(subst));
-    });
+  /// Appends the current registers to `out` as one row.
+  void emit(MatchRows& out) const {
+    for (Reg r : row_regs) out.ids.push_back(regs[r]);
   }
 };
 
+/// A VM for `prog` with its registers cleared and its row layout set: the
+/// root registers (register 0 for a single-pattern program, root_regs for a
+/// joint one), then the variable registers in prog.vars order.
 VM make_vm(const EGraph& eg, const Program& prog, const MatchLimits& limits) {
-  return VM{eg,
-            prog,
-            limits.max_matches == 0 ? SIZE_MAX : limits.max_matches,
-            limits.max_steps == 0 ? SIZE_MAX : limits.max_steps,
-            {},
-            {},
-            {}};
+  VM vm{eg,
+        prog,
+        limits.max_matches == 0 ? SIZE_MAX : limits.max_matches,
+        limits.max_steps == 0 ? SIZE_MAX : limits.max_steps,
+        std::vector<Id>(static_cast<size_t>(prog.num_regs), kInvalidId),
+        {},
+        {},
+        {}};
+  if (prog.is_joint())
+    vm.row_regs = prog.root_regs;
+  else
+    vm.row_regs.push_back(0);
+  for (const auto& [var, reg] : prog.vars) vm.row_regs.push_back(reg);
+  return vm;
 }
 
 }  // namespace
 
-std::vector<PatternMatch> search(const EGraph& eg, const Program& prog,
-                                 const MatchLimits& limits) {
+MatchRows search(const EGraph& eg, const Program& prog, const MatchLimits& limits) {
   // One span per pattern sweep, on whichever lane runs it — the per-thread
   // occupancy view of the parallel search phase.
   const trace::ScopedSpan span("ematch/search");
   VM vm = make_vm(eg, prog, limits);
-  std::vector<PatternMatch> matches;
+  MatchRows rows;
+  rows.width = vm.row_regs.size();
   // Leaf-rooted patterns scan every class; operator roots borrow the op-index
   // bucket directly (classes_with_op returns a reference on a clean e-graph,
   // so the hot path allocates nothing).
@@ -171,38 +177,22 @@ std::vector<PatternMatch> search(const EGraph& eg, const Program& prog,
   const std::vector<Id>& candidates = op_is_leaf(prog.root_op)
                                           ? leaf_candidates
                                           : eg.classes_with_op(prog.root_op);
-  std::vector<Subst> found;
   for (Id cls : candidates) {
-    found.clear();
-    const bool in_budget = vm.run_rooted(cls, found);
-    for (Subst& s : found) matches.push_back(PatternMatch{cls, std::move(s)});
-    if (!in_budget) break;
+    // Register 0 holds the candidate root class.
+    vm.regs[0] = eg.find(cls);
+    if (!vm.run([&] { vm.emit(rows); })) break;
   }
-  return matches;
+  return rows;
 }
 
-std::vector<Subst> match_class(const EGraph& eg, const Program& prog, Id class_id,
-                               const MatchLimits& limits) {
-  VM vm = make_vm(eg, prog, limits);
-  std::vector<Subst> out;
-  vm.run_rooted(class_id, out);
-  return out;
-}
-
-std::vector<JointMatch> search_joint(const EGraph& eg, const Program& prog,
-                                     const MatchLimits& limits) {
+MatchRows search_joint(const EGraph& eg, const Program& prog,
+                       const MatchLimits& limits) {
   const trace::ScopedSpan span("ematch/search_joint");
   VM vm = make_vm(eg, prog, limits);
-  vm.regs.assign(prog.num_regs, kInvalidId);
-  std::vector<JointMatch> out;
-  vm.run([&] {
-    JointMatch jm;
-    jm.roots.reserve(prog.root_regs.size());
-    for (Reg r : prog.root_regs) jm.roots.push_back(vm.regs[r]);
-    for (const auto& [var, reg] : prog.vars) jm.subst.bind(var, vm.regs[reg]);
-    out.push_back(std::move(jm));
-  });
-  return out;
+  MatchRows rows;
+  rows.width = vm.row_regs.size();
+  vm.run([&] { vm.emit(rows); });
+  return rows;
 }
 
 size_t search_work_estimate(const EGraph& eg,

@@ -6,9 +6,11 @@
 // (EGraph::classes_with_op) so classes that cannot match a pattern root are
 // never visited.
 //
-// Results are bit-for-bit interchangeable with the naive matcher in
-// rewrite/matcher.h: same substitutions, same multiplicities, variables
-// bound to canonical e-class ids (tests/ematch_test.cpp proves this by
+// A search writes each match as a fixed-width row of canonical e-class ids
+// into one flat buffer (MatchRows), read straight out of the VM registers:
+// no per-match allocation. Decoded, the rows are the naive matcher's match
+// set (tests/naive_matcher.h): same substitutions, same multiplicities
+// (tests/ematch_test.cpp and tests/joint_ematch_test.cpp prove this by
 // differential testing across the full rule set).
 #pragma once
 
@@ -16,7 +18,6 @@
 
 #include "egraph/egraph.h"
 #include "ematch/program.h"
-#include "rewrite/subst.h"
 
 namespace tensat::ematch {
 
@@ -28,31 +29,32 @@ struct MatchLimits {
   size_t max_steps = 2000000;
 };
 
-/// All matches of the compiled pattern anywhere in the e-graph. The e-graph
-/// must be clean (rebuilt). Filtered e-nodes are treated as removed.
-std::vector<PatternMatch> search(const EGraph& eg, const Program& prog,
-                                 const MatchLimits& limits = {});
+/// The matches of one search, `width` e-class ids per match, row after row
+/// in one buffer. A single-pattern row is [root, prog.vars in order]; a
+/// joint row is [prog.root_regs' classes in source order, prog.vars in
+/// order]. Variable k of the program is therefore column
+/// (number of roots + k) of every row.
+struct MatchRows {
+  size_t width{0};
+  std::vector<Id> ids;
 
-/// Matches of the compiled pattern against one specific e-class.
-std::vector<Subst> match_class(const EGraph& eg, const Program& prog, Id class_id,
-                               const MatchLimits& limits = {});
-
-/// One match of a joint multi-pattern program: the e-class each sub-pattern
-/// root matched (in source order) plus the combined substitution. Exactly the
-/// compatible tuples the Cartesian-product join of the per-source match sets
-/// would produce (tests/joint_ematch_test.cpp proves this differentially).
-struct JointMatch {
-  std::vector<Id> roots;
-  Subst subst;
+  [[nodiscard]] size_t size() const { return width == 0 ? 0 : ids.size() / width; }
+  [[nodiscard]] const Id* row(size_t i) const { return ids.data() + i * width; }
 };
 
-/// All matches of a joint program (compile_joint_pattern) in the e-graph.
-/// Candidate classes for each sub-pattern root come from the op-index; shared
-/// variables prune cross-pattern combinations during the search. The e-graph
-/// must be clean (rebuilt). `limits.max_steps` counts e-nodes tried by kBind
-/// plus root candidates tried by kScan, across all sub-patterns.
-std::vector<JointMatch> search_joint(const EGraph& eg, const Program& prog,
-                                     const MatchLimits& limits = {});
+/// All matches of the compiled pattern anywhere in the e-graph. The e-graph
+/// must be clean (rebuilt). Filtered e-nodes are treated as removed.
+MatchRows search(const EGraph& eg, const Program& prog, const MatchLimits& limits = {});
+
+/// All matches of a joint program (compile_joint_pattern) in the e-graph:
+/// exactly the compatible tuples the Cartesian-product join of the
+/// per-source match sets would produce. Candidate classes for each
+/// sub-pattern root come from the op-index; shared variables prune
+/// cross-pattern combinations during the search. The e-graph must be clean
+/// (rebuilt). `limits.max_steps` counts e-nodes tried by kBind plus root
+/// candidates tried by kScan, across all sub-patterns.
+MatchRows search_joint(const EGraph& eg, const Program& prog,
+                       const MatchLimits& limits = {});
 
 /// Coarse per-sweep work estimate for a batch of searches: candidate root
 /// classes summed over the programs (the op-index bucket for operator roots,

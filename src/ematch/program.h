@@ -20,8 +20,9 @@
 //                     classes for a sub-pattern root — classes_with_op(op),
 //                     or every canonical class for leaf roots — writing each
 //                     into regs[r]. A backtracking point, like bind.
-//   yield             implicit at program end: read the variable registers
-//                     out into a substitution.
+//   yield             implicit at program end: copy the root register(s)
+//                     and the variable registers into one match row
+//                     (ematch::MatchRows in machine.h).
 //
 // Multi-pattern rules additionally compile through compile_joint_pattern:
 // all source patterns of a rule become ONE program whose sub-pattern roots

@@ -15,13 +15,12 @@
 namespace tensat {
 namespace {
 
-/// One pending application: the rule, the per-source matched root classes,
-/// and the combined substitution.
+/// One pending application: the rule (an index into the rules vector) and
+/// its match row in the iteration's search results, read through the rule's
+/// RuleColumns. The rows outlive the apply phase, so nothing is copied.
 struct Application {
-  const Rewrite* rule;
-  size_t rule_index;  // into the rules vector (per-rule telemetry key)
-  std::vector<Id> src_classes;
-  Subst subst;
+  size_t rule;
+  const Id* row;
 };
 
 /// The merge is only sound if the target computes a value of the same kind
@@ -78,6 +77,7 @@ struct PlanChunk {
   NodeBuffer buf;
   std::vector<Id> targets;  // concatenated target lists of the chunk's apps
   std::vector<Id> memo;     // plan_instantiate scratch, reused across apps
+  Subst subst;              // the planned app's bindings, reused across apps
 };
 
 /// Stage-1 result for one pending application: its slice of the chunk's
@@ -88,29 +88,34 @@ struct ApplyPlan {
   bool viable{false};
 };
 
-/// Stage 1 of the apply pipeline (parallel, read-only): evaluates the rule
-/// condition on the matched variables' analysis data, the efficient pre-
-/// filter (Algorithm 2, lines 3-9: skip the substitution if a matched class
-/// is a descendant of, or is, a class we would merge into; `dmap` is the
-/// iteration's descendants map under efficient filtering, null otherwise),
-/// and plans the target instantiation against the e-graph as of the wave's
-/// start: committed by earlier waves, not rebuilt. Writes only into `plan`
-/// and `chunk`.
-void plan_application(const EGraph& eg, const Application& app, ApplyPlan& plan,
+/// Stage 1 of the apply pipeline (parallel, read-only): reads the rule's
+/// bindings out of the match row `row` through its `columns`, evaluates the
+/// rule condition on the matched variables' analysis data, the efficient
+/// pre-filter (Algorithm 2, lines 3-9: skip the substitution if a matched
+/// class is a descendant of, or is, a class we would merge into; `dmap` is
+/// the iteration's descendants map under efficient filtering, null
+/// otherwise), and plans the target instantiation against the e-graph as of
+/// the wave's start: committed by earlier waves, not rebuilt. Writes only
+/// into `plan` and `chunk`.
+void plan_application(const EGraph& eg, const Rewrite& rule,
+                      const RuleColumns& columns, const Id* row, ApplyPlan& plan,
                       PlanChunk& chunk, const DescendantsMap* dmap) {
-  const Rewrite& rule = *app.rule;
+  Subst& subst = chunk.subst;
+  subst.clear();
+  for (const auto& [var, column] : columns.vars) subst.bind(var, row[column]);
   if (rule.cond) {
     auto lookup = [&](Symbol var) -> const ValueInfo& {
-      auto bound = app.subst.get(var);
+      auto bound = subst.get(var);
       TENSAT_CHECK(bound.has_value(), "condition references unbound ?" << var.str());
       return eg.data(*bound);
     };
     if (!rule.check_cond(lookup)) return;
   }
   if (dmap != nullptr) {
-    for (Id src : app.src_classes) {
-      const Id a = eg.find(src);
-      for (const auto& [var, cls] : app.subst.bindings()) {
+    // Row columns [0, sources) are the matched source classes.
+    for (size_t k = 0; k < rule.src_roots.size(); ++k) {
+      const Id a = eg.find(row[k]);
+      for (const auto& [var, cls] : subst.bindings()) {
         const Id c = eg.find(cls);
         if (c == a || dmap->reaches(c, a)) return;
       }
@@ -119,8 +124,7 @@ void plan_application(const EGraph& eg, const Application& app, ApplyPlan& plan,
 
   plan.targets_first = static_cast<uint32_t>(chunk.targets.size());
   for (Id dst_root : rule.dst_roots) {
-    auto target =
-        plan_instantiate(chunk.buf, rule.pat, dst_root, app.subst, chunk.memo);
+    auto target = plan_instantiate(chunk.buf, rule.pat, dst_root, subst, chunk.memo);
     if (!target.has_value()) {  // shape check failed
       chunk.targets.resize(plan.targets_first);
       return;
@@ -128,7 +132,7 @@ void plan_application(const EGraph& eg, const Application& app, ApplyPlan& plan,
     chunk.targets.push_back(*target);
   }
   for (size_t k = 0; k < rule.dst_roots.size(); ++k) {
-    if (!merge_sound(eg.data(app.src_classes[k]),
+    if (!merge_sound(eg.data(row[k]),
                      chunk.buf.data(chunk.targets[plan.targets_first + k]))) {
       chunk.targets.resize(plan.targets_first);
       return;
@@ -140,9 +144,10 @@ void plan_application(const EGraph& eg, const Application& app, ApplyPlan& plan,
 
 /// Stage 2 of the apply pipeline (serial, plan order): commits a viable
 /// plan's staged nodes through the real hash-cons — duplicates planned by
-/// other applications collapse here — and performs the merges. Returns true
-/// if the e-graph changed. `committed` is caller-owned scratch.
-bool commit_application(EGraph& eg, const Application& app, const ApplyPlan& plan,
+/// other applications collapse here — and merges each target into the
+/// source class in the same column of the match row `row`. Returns true if
+/// the e-graph changed. `committed` is caller-owned scratch.
+bool commit_application(EGraph& eg, const Id* row, const ApplyPlan& plan,
                         PlanChunk& chunk, CycleFilterMode mode,
                         std::vector<Id>& committed) {
   committed.clear();
@@ -155,11 +160,11 @@ bool commit_application(EGraph& eg, const Application& app, const ApplyPlan& pla
   // the wave can have joined analysis values (e.g. cleared a concat
   // history) since the plan compared against the wave's snapshot.
   for (size_t k = 0; k < committed.size(); ++k)
-    if (!merge_sound(eg.data(app.src_classes[k]), eg.data(committed[k])))
+    if (!merge_sound(eg.data(row[k]), eg.data(committed[k])))
       return false;
   bool changed = false;
   for (size_t k = 0; k < committed.size(); ++k) {
-    const Id src = eg.find(app.src_classes[k]);
+    const Id src = eg.find(row[k]);
     const Id dst = eg.find(committed[k]);
     if (src == dst) continue;
     // Vanilla filtering (paper §5.2): discard the merge. The target nodes
@@ -217,8 +222,7 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
   std::vector<std::vector<size_t>> pattern_users(plan.patterns.size());
   for (size_t r = 0; r < rules.size(); ++r) {
     if (rules[r].is_multi()) continue;
-    for (const SourceBinding& sb : plan.rule_sources[r])
-      pattern_users[sb.pattern_index].push_back(r);
+    for (size_t p : plan.rule_sources[r]) pattern_users[p].push_back(r);
   }
 
   eg.rebuild();
@@ -258,8 +262,8 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
     // multi-pattern rule. All searches are read-only over the clean e-graph,
     // so they fan out across the worker pool; results land in per-task slots
     // and are identical for any thread count.
-    std::vector<std::vector<PatternMatch>> matches(plan.patterns.size());
-    std::vector<std::vector<ematch::JointMatch>> joint_matches(rules.size());
+    std::vector<ematch::MatchRows> rows(plan.patterns.size());
+    std::vector<ematch::MatchRows> joint_rows(rules.size());
     struct SearchTask {
       bool joint;
       size_t index;                 // pattern index, or rule index if joint
@@ -313,10 +317,10 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
         const SearchTask& task = tasks[t];
         const Timer task_timer;
         if (task.joint)
-          joint_matches[task.index] =
+          joint_rows[task.index] =
               ematch::search_joint(eg, plan.joint_programs[task.index], task.limits);
         else
-          matches[task.index] = ematch::search(eg, plan.patterns[task.index].program);
+          rows[task.index] = ematch::search(eg, plan.patterns[task.index].program);
         task_seconds[t] = task_timer.seconds();
       });
     }
@@ -327,7 +331,7 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
     }
     // Joint matches are credited to multi_matches_found in the collect loop.
     for (const SearchTask& task : tasks)
-      if (!task.joint) stats.matches_found += matches[task.index].size();
+      if (!task.joint) stats.matches_found += rows[task.index].size();
 
     // APPLY. The phase is a pipeline (mirroring egg's deferred-invariant
     // design): COLLECT enumerates the pending applications per rule, then
@@ -361,30 +365,24 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
         if (!rule_active(r)) continue;
         const SecondsGuard rule_guard(stats.rules[r].seconds);
         const size_t budget = scheduler.match_limit(r);
-        size_t found = 0;
-        // Queues one match tuple; false once the budget is blown (stop there:
+        // A multi-pattern rule reads its joint search, whose rows are already
+        // the compatible combinations with shared variables bound once
+        // (Algorithm 1 lines 16-20); a single-pattern rule reads its
+        // canonical pattern's rows, renamed through plan.columns in stage 1
+        // (lines 12-15).
+        const ematch::MatchRows& found_rows =
+            rule.is_multi() ? joint_rows[r] : rows[plan.rule_sources[r][0]];
+        // Queue each match row until the budget is blown (stop at budget+1:
         // record_matches below imposes the ban).
-        const auto queue = [&](std::vector<Id> roots, Subst subst) {
+        size_t found = 0;
+        while (found < found_rows.size()) {
+          const Id* row = found_rows.row(found);
           ++found;
           ++stats.rules[r].matches;
-          if (found > budget) return false;
+          if (rule.is_multi()) ++stats.multi_matches_found;
+          if (found > budget) break;
           ++stats.rules[r].planned;
-          apps.push_back(
-              Application{&rule, r, std::move(roots), std::move(subst)});
-          return true;
-        };
-        if (rule.is_multi()) {
-          // The joint search already produced the compatible combinations,
-          // shared variables bound once (Algorithm 1 lines 16-20).
-          for (const ematch::JointMatch& jm : joint_matches[r]) {
-            ++stats.multi_matches_found;
-            if (!queue(jm.roots, jm.subst)) break;
-          }
-        } else {
-          // De-canonicalize the pattern's matches (Algorithm 1 lines 12-15).
-          const SourceBinding& sb = plan.rule_sources[r][0];
-          for (const PatternMatch& m : matches[sb.pattern_index])
-            if (!queue({m.root}, decanonicalize(m.subst, sb.rename))) break;
+          apps.push_back(Application{r, row});
         }
         if (scheduler.record_matches(r, iter_base + static_cast<size_t>(iter),
                                      found))
@@ -452,7 +450,8 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
               plan_timed_out.store(true, std::memory_order_relaxed);
               return;
             }
-            plan_application(eg, apps[i], plans[i - wave], chunks[c],
+            plan_application(eg, rules[apps[i].rule], plan.columns[apps[i].rule],
+                             apps[i].row, plans[i - wave], chunks[c],
                              dmap ? &*dmap : nullptr);
           }
         });
@@ -465,10 +464,10 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
       const trace::ScopedSpan commit_span("explore/commit", stats.apply_seconds);
       for (size_t i = wave; i < wave_end && !limit_tripped(); ++i) {
         if (!plans[i - wave].viable) continue;
-        RuleTelemetry& rt = stats.rules[apps[i].rule_index];
+        RuleTelemetry& rt = stats.rules[apps[i].rule];
         const SecondsGuard commit_guard(rt.seconds);
         const size_t nodes_before = eg.num_enodes_total();
-        if (commit_application(eg, apps[i], plans[i - wave],
+        if (commit_application(eg, apps[i].row, plans[i - wave],
                                chunks[(i - wave) / kPlanChunk],
                                options.cycle_filter, committed)) {
           ++stats.applications;

@@ -9,8 +9,16 @@ namespace tensat {
 std::vector<PatternMatch> search_pattern(const EGraph& eg, const Graph& pat,
                                          Id pattern_root, const SearchLimits& limits) {
   const ematch::Program prog = ematch::compile_pattern(pat, pattern_root);
-  return ematch::search(eg, prog,
-                        ematch::MatchLimits{limits.max_matches, limits.max_steps});
+  const ematch::MatchRows rows = ematch::search(
+      eg, prog, ematch::MatchLimits{limits.max_matches, limits.max_steps});
+  std::vector<PatternMatch> matches(rows.size());
+  for (size_t m = 0; m < rows.size(); ++m) {
+    const Id* row = rows.row(m);
+    matches[m].root = row[0];
+    for (size_t k = 0; k < prog.vars.size(); ++k)
+      matches[m].subst.bind(prog.vars[k].first, row[1 + k]);
+  }
+  return matches;
 }
 
 std::optional<Id> instantiate(EGraph& eg, const Graph& pat, Id root, const Subst& subst) {

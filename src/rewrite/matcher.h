@@ -32,8 +32,9 @@ struct SearchLimits {
 /// All matches of the pattern rooted at `pattern_root` anywhere in the
 /// e-graph. Variables bind canonical e-class ids; filtered e-nodes are
 /// treated as removed. The e-graph must be clean (rebuilt). Compiles the
-/// pattern and runs the ematch VM; callers searching the same pattern
-/// repeatedly should compile once and call ematch::search directly.
+/// pattern, runs the ematch VM and decodes its match rows; callers searching
+/// the same pattern repeatedly should compile once and read the rows of
+/// ematch::search directly.
 std::vector<PatternMatch> search_pattern(const EGraph& eg, const Graph& pat,
                                          Id pattern_root,
                                          const SearchLimits& limits = {});

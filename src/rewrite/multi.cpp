@@ -1,5 +1,6 @@
 #include "rewrite/multi.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "support/check.h"
@@ -46,32 +47,42 @@ MultiPlan build_multi_plan(const std::vector<Rewrite>& rules) {
   std::unordered_map<std::string, size_t> by_key;
   plan.rule_sources.resize(rules.size());
   plan.joint_programs.resize(rules.size());
+  plan.columns.resize(rules.size());
   for (size_t r = 0; r < rules.size(); ++r) {
+    // (canonical, original) variable names of the rule's last source; only
+    // read for single-pattern rules, which have exactly one.
+    std::vector<std::pair<Symbol, Symbol>> rename;
     for (Id src_root : rules[r].src_roots) {
-      SourceBinding binding;
-      CanonicalPattern canon =
-          canonicalize_pattern(rules[r].pat, src_root, &binding.rename);
+      rename.clear();
+      CanonicalPattern canon = canonicalize_pattern(rules[r].pat, src_root, &rename);
       auto [it, inserted] = by_key.emplace(canon.key, plan.patterns.size());
       if (inserted) plan.patterns.push_back(std::move(canon));
-      binding.pattern_index = it->second;
-      plan.rule_sources[r].push_back(std::move(binding));
+      plan.rule_sources[r].push_back(it->second);
     }
-    if (rules[r].is_multi())
-      plan.joint_programs[r] =
+    std::vector<std::pair<Symbol, uint32_t>>& columns = plan.columns[r].vars;
+    if (rules[r].is_multi()) {
+      // Joint rows: one root column per source, then the program's variables.
+      const ematch::Program& prog = plan.joint_programs[r] =
           ematch::compile_joint_pattern(rules[r].pat, rules[r].src_roots);
+      const auto roots = static_cast<uint32_t>(prog.root_regs.size());
+      for (uint32_t k = 0; k < prog.vars.size(); ++k)
+        columns.emplace_back(prog.vars[k].first, roots + k);
+      continue;
+    }
+    // Canonical-pattern rows: the root column, then the canonical variables
+    // in the program's order; each rule variable reads its canonical
+    // counterpart's column.
+    const auto& canon_vars = plan.patterns[plan.rule_sources[r][0]].program.vars;
+    for (const auto& [canon, original] : rename) {
+      const auto at = std::find_if(canon_vars.begin(), canon_vars.end(),
+                                   [&](const auto& v) { return v.first == canon; });
+      TENSAT_CHECK(at != canon_vars.end(),
+                   "build_multi_plan: no register for ?" << canon.str());
+      columns.emplace_back(original,
+                           static_cast<uint32_t>(1 + (at - canon_vars.begin())));
+    }
   }
   return plan;
-}
-
-Subst decanonicalize(const Subst& subst,
-                     const std::vector<std::pair<Symbol, Symbol>>& rename) {
-  Subst out;
-  for (const auto& [canon, original] : rename) {
-    auto bound = subst.get(canon);
-    TENSAT_CHECK(bound.has_value(), "decanonicalize: missing binding for " << canon.str());
-    TENSAT_CHECK(out.bind(original, *bound), "decanonicalize: conflicting binding");
-  }
-  return out;
 }
 
 }  // namespace tensat

@@ -30,6 +30,9 @@ class Subst {
     return std::nullopt;
   }
 
+  /// Drops every binding and keeps the capacity, for scratch reuse.
+  void clear() { bindings_.clear(); }
+
   [[nodiscard]] const std::vector<std::pair<Symbol, Id>>& bindings() const {
     return bindings_;
   }

@@ -17,6 +17,7 @@
 #include "optimizer/optimizer.h"
 #include "rewrite/multi.h"
 #include "rewrite/rules.h"
+#include "tests/match_rows.h"
 #include "tests/naive_matcher.h"
 
 namespace tensat {
@@ -123,13 +124,13 @@ TEST(EmatchVM, SearchUsesOpIndexCandidates) {
 
   Graph pat(GraphKind::kPattern);
   const Program prog = compile_pattern(pat, parse_into(pat, "(matmul ?act ?a ?b)"));
-  const auto matches = ematch::search(eg, prog);
-  ASSERT_EQ(matches.size(), 1u);
-  EXPECT_EQ(matches[0].subst.bindings().size(), 3u);
+  const ematch::MatchRows rows = ematch::search(eg, prog);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows.width, 4u);  // the root, then ?act ?a ?b
   // The matched root really is the matmul class.
   const auto idx = eg.classes_with_op(Op::kMatmul);
   ASSERT_EQ(idx.size(), 1u);
-  EXPECT_EQ(eg.find(matches[0].root), idx[0]);
+  EXPECT_EQ(eg.find(rows.row(0)[0]), idx[0]);
 }
 
 TEST(EmatchVM, MatchLimitStopsSearch) {
@@ -150,17 +151,24 @@ TEST(EmatchVM, MatchLimitStopsSearch) {
   EXPECT_LT(ematch::search(eg, prog, steps).size(), 10u);
 }
 
-TEST(EmatchVM, MatchClassRespectsTargetClass) {
+TEST(EmatchVM, RowsHoldTheRootThenTheVariablesInProgramOrder) {
   Graph g;
   const Id a = g.input("a", {2, 2});
-  const Id r = g.relu(a);
+  const Id b = g.input("b", {2, 2});
+  const Id r = g.relu(g.ewadd(b, a));
   g.add_root(r);
   EGraph eg;
   auto mapping = eg.add_graph(g);
   Graph pat(GraphKind::kPattern);
-  const Program prog = compile_pattern(pat, parse_into(pat, "(relu ?x)"));
-  EXPECT_EQ(ematch::match_class(eg, prog, mapping.at(r)).size(), 1u);
-  EXPECT_EQ(ematch::match_class(eg, prog, mapping.at(a)).size(), 0u);
+  const Program prog =
+      compile_pattern(pat, parse_into(pat, "(relu (ewadd ?y ?x))"));
+  const ematch::MatchRows rows = ematch::search(eg, prog);
+  ASSERT_EQ(rows.size(), 1u);
+  ASSERT_EQ(rows.width, 3u);
+  ASSERT_EQ(rows.ids.size(), 3u);
+  EXPECT_EQ(rows.row(0)[0], eg.find(mapping.at(r)));
+  EXPECT_EQ(rows.row(0)[1], eg.find(mapping.at(b)));  // ?y binds first
+  EXPECT_EQ(rows.row(0)[2], eg.find(mapping.at(a)));
 }
 
 // ---- Differential test against the legacy matcher --------------------------
@@ -198,7 +206,8 @@ void expect_parity(const EGraph& eg, const char* context) {
   vm_unlimited.max_steps = 0;
   for (size_t p = 0; p < plan.patterns.size(); ++p) {
     const CanonicalPattern& cp = plan.patterns[p];
-    const auto vm = ematch::search(eg, cp.program, vm_unlimited);
+    const auto vm =
+        match_rows::decode(ematch::search(eg, cp.program, vm_unlimited), cp.program);
     const auto naive = naive_oracle::search_pattern_naive(eg, cp.pat, cp.root);
     EXPECT_EQ(fingerprint(eg, vm), fingerprint(eg, naive))
         << context << ": pattern " << cp.key;

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -18,6 +17,7 @@
 #include "rewrite/multi.h"
 #include "rewrite/rules.h"
 #include "support/parallel.h"
+#include "tests/match_rows.h"
 #include "tests/naive_matcher.h"
 
 namespace tensat {
@@ -25,8 +25,8 @@ namespace {
 
 using ematch::compile_joint_pattern;
 using ematch::Instruction;
-using ematch::JointMatch;
 using ematch::Program;
+using naive_oracle::JointMatch;
 
 // ---- Joint-program compilation ---------------------------------------------
 
@@ -121,36 +121,6 @@ std::string fingerprint(const EGraph& eg, const std::vector<JointMatch>& matches
   return out;
 }
 
-/// The Cartesian-product join of paper Algorithm 1 (lines 16-20): every
-/// combination of one match per source list whose substitutions agree on the
-/// variables they share, as (roots, merged substitution) tuples.
-std::vector<JointMatch> cartesian_join(
-    const std::vector<std::vector<PatternMatch>>& per_source) {
-  std::vector<JointMatch> out;
-  for (const std::vector<PatternMatch>& list : per_source)
-    if (list.empty()) return out;
-  std::vector<size_t> idx(per_source.size(), 0);
-  for (;;) {
-    JointMatch jm;
-    std::optional<Subst> combined = Subst{};
-    for (size_t k = 0; k < per_source.size() && combined; ++k) {
-      const PatternMatch& m = per_source[k][idx[k]];
-      jm.roots.push_back(m.root);
-      combined = Subst::merged(*combined, m.subst);
-    }
-    if (combined.has_value()) {
-      jm.subst = std::move(*combined);
-      out.push_back(std::move(jm));
-    }
-    size_t k = 0;  // advance the odometer, source 0 fastest
-    for (; k < idx.size(); ++k) {
-      if (++idx[k] < per_source[k].size()) break;
-      idx[k] = 0;
-    }
-    if (k == idx.size()) return out;
-  }
-}
-
 /// Asserts, for every multi-pattern rule, that the joint program enumerates
 /// exactly the compatible combinations of the per-source match sets — with
 /// the per-source sets produced by the NAIVE matcher, so the joint plan is
@@ -167,8 +137,10 @@ void expect_joint_parity(const EGraph& eg, const char* context) {
     for (Id src : rules[r].src_roots)
       per_source.push_back(
           naive_oracle::search_pattern_naive(eg, rules[r].pat, src));
-    const auto baseline = cartesian_join(per_source);
-    const auto joint = ematch::search_joint(eg, plan.joint_programs[r], vm_unlimited);
+    const auto baseline = naive_oracle::cartesian_join(per_source);
+    const auto joint = match_rows::decode_joint(
+        ematch::search_joint(eg, plan.joint_programs[r], vm_unlimited),
+        plan.joint_programs[r]);
     EXPECT_EQ(fingerprint(eg, joint), fingerprint(eg, baseline))
         << context << ": rule " << rules[r].name;
   }
@@ -199,7 +171,8 @@ TEST(JointDifferential, SharedOperandMatmulsWithIncompatibleGroups) {
   const MultiPlan plan = build_multi_plan(rules);
   for (size_t r = 0; r < rules.size(); ++r) {
     if (rules[r].name != "multi-matmul-share-lhs") continue;
-    const auto joint = ematch::search_joint(eg, plan.joint_programs[r]);
+    const auto joint = match_rows::decode_joint(
+        ematch::search_joint(eg, plan.joint_programs[r]), plan.joint_programs[r]);
     EXPECT_EQ(joint.size(), 18u);
     for (const JointMatch& jm : joint) {
       ASSERT_EQ(jm.roots.size(), 2u);

@@ -4,15 +4,18 @@
 // pattern top-down against every canonical class and extends substitutions
 // child by child, so agreement between the two is evidence about the
 // compiler and the machine. Semantically identical to ematch::search (same
-// matches, same multiplicities); ematch_test compares them pattern by
-// pattern, joint_ematch_test uses it as the per-source oracle of the joint
-// multi-pattern plan.
+// matches, same multiplicities, once its rows are decoded by
+// tests/match_rows.h); ematch_test compares them pattern by pattern,
+// joint_ematch_test joins its per-source match sets with cartesian_join
+// below as the oracle of the joint multi-pattern plan, and multi_test reads
+// every rule's binding columns against both.
 //
 // Variables bind canonical e-class ids; filtered e-nodes are treated as
 // removed. The e-graph must be clean (rebuilt). No match or step limits:
 // the oracle enumerates everything.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "egraph/egraph.h"
@@ -84,6 +87,43 @@ inline std::vector<PatternMatch> search_pattern_naive(const EGraph& eg,
     for (Subst& s : found) matches.push_back(PatternMatch{cls, std::move(s)});
   }
   return matches;
+}
+
+/// One match of several source patterns: the e-class each source's root
+/// matched, in source order, plus the combined substitution.
+struct JointMatch {
+  std::vector<Id> roots;
+  Subst subst;
+};
+
+/// The Cartesian-product join of paper Algorithm 1 (lines 16-20): every
+/// combination of one match per source list whose substitutions agree on the
+/// variables they share, as (roots, merged substitution) tuples.
+inline std::vector<JointMatch> cartesian_join(
+    const std::vector<std::vector<PatternMatch>>& per_source) {
+  std::vector<JointMatch> out;
+  for (const std::vector<PatternMatch>& list : per_source)
+    if (list.empty()) return out;
+  std::vector<size_t> idx(per_source.size(), 0);
+  for (;;) {
+    JointMatch jm;
+    std::optional<Subst> combined = Subst{};
+    for (size_t k = 0; k < per_source.size() && combined; ++k) {
+      const PatternMatch& m = per_source[k][idx[k]];
+      jm.roots.push_back(m.root);
+      combined = Subst::merged(*combined, m.subst);
+    }
+    if (combined.has_value()) {
+      jm.subst = std::move(*combined);
+      out.push_back(std::move(jm));
+    }
+    size_t k = 0;  // advance the odometer, source 0 fastest
+    for (; k < idx.size(); ++k) {
+      if (++idx[k] < per_source[k].size()) break;
+      idx[k] = 0;
+    }
+    if (k == idx.size()) return out;
+  }
 }
 
 }  // namespace tensat::naive_oracle
