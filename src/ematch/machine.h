@@ -70,15 +70,18 @@ size_t search_work_estimate(const EGraph& eg,
 /// calling thread, where waking workers would cost more than it saves.
 /// Results are identical either way — this is purely a dispatch decision.
 ///
-/// Measured break-even on a 4-core x86 host: the median of 40 interleaved
-/// explorations at search_threads 1 and 4 (floor forced to 0), per
-/// iteration, over every iteration of the seven Table-1 models at k_max 8,
-/// node limit 900 and at k_max 15, k_multi 2, node limit 50000, plus
-/// BERT(2,32,128); three runs, 267 iteration readings. Below 768 the pool
-/// lost in 43 of 54 readings (0.46-1.63x, median 0.80x); from 768 to 2047
-/// it won at a median 1.23x (17 of 72 lost), and from 2048 up at a median
-/// 1.79x (3 of 141 lost). Of the floors tried (256 to 1024), 768 gave the
-/// least summed search time.
+/// Measured break-even on a 4-core x86 host with the match-row VM: the
+/// median of 40 interleaved explorations at search_threads 1 and 4 (floor
+/// forced to 0), per iteration, over every iteration of the seven Table-1
+/// models at k_max 8, node limit 900 and at k_max 15, k_multi 2, node limit
+/// 50000, plus BERT(2,32,128); three runs, 282 iteration readings. Below
+/// 768 the pool lost in 50 of 57 readings (0.47-1.43x, median 0.71x); from
+/// 768 to 2047 it won at a median 1.19x (11 of 72 lost), and from 2048 up
+/// at a median 1.76x (1 of 153 lost). Of the floors tried (256 to 4096),
+/// 768 gave the least summed search time, as it did before rows made each
+/// candidate cheaper. Service-sized explorations (k_max 4, node limit 500)
+/// mostly stay below it: over the 41 graph shapes perfbench's service-mix
+/// draws from, 4 of 124 iterations reach it.
 constexpr size_t kMinParallelSearchWork = 768;
 
 }  // namespace tensat::ematch

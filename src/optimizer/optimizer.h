@@ -46,10 +46,14 @@ struct TensatOptions {
   /// always get a final chance before saturation is declared.
   ematch::BackoffOptions backoff{/*match_limit=*/100000, /*ban_length=*/5};
   /// Worker threads for the per-iteration pattern searches (the VM is
-  /// read-only over the clean e-graph). 0 = one per hardware thread. Any
-  /// value yields identical results: each pattern's search is sequential
-  /// and results merge in plan order, so threading never reorders anything.
-  size_t search_threads = 1;
+  /// read-only over the clean e-graph). 0 (default) = one per hardware
+  /// thread. Any value yields identical results: each search is sequential
+  /// and fills its own match rows, read in plan order, so threading never
+  /// reorders anything. Sweeps whose work estimate is below
+  /// ematch::kMinParallelSearchWork (768 candidate root classes) search on
+  /// the calling thread: below that, waking workers costs more than it
+  /// saves.
+  size_t search_threads = 0;
   /// Worker threads for stage 1 of the apply pipeline: per-pending-
   /// application condition checks, cycle pre-filters, and target planning,
   /// all read-only against the e-graph as of the wave's start (stages 1 and
@@ -91,7 +95,9 @@ struct RuleTelemetry {
   /// Wall-clock attributed to the rule: its share of each pattern search it
   /// consumes (split evenly among the pattern's active users; joint searches
   /// are wholly its own), plus its match enumeration and commit time.
-  /// Stage-1 planning time is not attributable per rule (chunks mix rules).
+  /// Stage-1 planning time is not attributable per rule (chunks mix rules);
+  /// it includes reading the rule's variables out of its match rows, so
+  /// enumeration is only the queueing of row pointers.
   double seconds{0.0};
 };
 
