@@ -22,7 +22,7 @@
 namespace tensat::ematch {
 
 struct MatchLimits {
-  /// Cap on substitutions returned by one search. 0 = unlimited.
+  /// Cap on matches (rows) returned by one search. 0 = unlimited.
   size_t max_matches = 200000;
   /// Cap on VM work (e-nodes tried by kBind) per search; the search returns
   /// what it has when the budget runs out. 0 = unlimited.
