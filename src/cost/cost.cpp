@@ -142,21 +142,21 @@ double node_cost(const CostModel& model, const TNode& node,
 double graph_cost(const Graph& g, const CostModel& model) {
   TENSAT_CHECK(g.kind() == GraphKind::kConcrete, "cannot cost a pattern graph");
   double total = 0.0;
+  ValueInfo inputs[kMaxArity];
   for (Id id : g.topo_order()) {
     const TNode& n = g.node(id);
-    std::vector<ValueInfo> inputs;
-    inputs.reserve(n.children.size());
-    for (Id c : n.children) inputs.push_back(g.info(c));
-    total += node_cost(model, n, inputs, g.info(id));
+    for (size_t i = 0; i < n.children.size(); ++i) inputs[i] = g.info(n.children[i]);
+    total += node_cost(model, n, span<const ValueInfo>(inputs, n.children.size()),
+                       g.info(id));
   }
   return total;
 }
 
 double enode_cost(const EGraph& eg, Id cls, const TNode& node, const CostModel& model) {
-  std::vector<ValueInfo> inputs;
-  inputs.reserve(node.children.size());
-  for (Id c : node.children) inputs.push_back(eg.data(c));
-  return node_cost(model, node, inputs, eg.data(cls));
+  ValueInfo inputs[kMaxArity];
+  for (size_t i = 0; i < node.children.size(); ++i) inputs[i] = eg.data(node.children[i]);
+  return node_cost(model, node, span<const ValueInfo>(inputs, node.children.size()),
+                   eg.data(cls));
 }
 
 }  // namespace tensat

@@ -1,6 +1,7 @@
 #include "egraph/egraph.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "support/check.h"
 
@@ -16,19 +17,22 @@ std::optional<Id> EGraph::lookup(TNode node) const {
   const auto& sh = shard(node);
   auto it = sh.find(node);
   if (it == sh.end()) return std::nullopt;
-  return find(it->second);
+  return find(it->second.cls);
 }
 
-Id EGraph::insert_new_class(TNode node, ValueInfo data) {
+Id EGraph::insert_new_class(const TNode& node, ValueInfo data) {
   const Id id = uf_.make_set();
   TENSAT_CHECK(id == static_cast<Id>(classes_.size()), "class id mismatch");
   classes_.emplace_back();
   EClass& cls = classes_[id];
   cls.data = std::move(data);
-  cls.nodes.push_back(EClassNode{node, next_stamp_++, false});
+  // The e-node's id is its stamp: both count insertions.
+  const auto enode = static_cast<uint32_t>(enode_keys_.size());
+  enode_keys_.push_back(ENodeKey{node, id, enode});
+  cls.nodes.push_back(EClassNode{node, enode, false});
   op_index_[static_cast<size_t>(node.op)].push_back(id);
-  for (Id c : node.children) classes_[find(c)].parents.emplace_back(node, id);
-  shard(node).emplace(std::move(node), id);
+  for (Id c : node.children) classes_[find(c)].parents.push_back(enode);
+  shard(node).emplace(node, Interned{id, enode});
   ++num_enodes_total_;
   ++version_;
   return id;
@@ -38,23 +42,23 @@ std::optional<Id> EGraph::try_add(TNode node) {
   node = canonicalize(node);
   const auto& sh = shard(node);
   auto it = sh.find(node);
-  if (it != sh.end()) return find(it->second);
+  if (it != sh.end()) return find(it->second.cls);
 
   // E-class analysis: infer the new node's data from its children's.
-  std::vector<ValueInfo> inputs;
-  inputs.reserve(node.children.size());
-  for (Id c : node.children) inputs.push_back(classes_[find(c)].data);
-  auto data = infer(node, inputs);
+  const ValueInfo* inputs[kMaxArity];
+  for (size_t i = 0; i < node.children.size(); ++i)
+    inputs[i] = &classes_[find(node.children[i])].data;
+  auto data = infer(node, span<const ValueInfo* const>(inputs, node.children.size()));
   if (!data.has_value()) return std::nullopt;  // shape check failed
-  return insert_new_class(std::move(node), std::move(*data));
+  return insert_new_class(node, std::move(*data));
 }
 
 Id EGraph::try_add_planned(TNode node, const ValueInfo& data) {
   node = canonicalize(node);
   const auto& sh = shard(node);
   auto it = sh.find(node);
-  if (it != sh.end()) return find(it->second);
-  return insert_new_class(std::move(node), data);
+  if (it != sh.end()) return find(it->second.cls);
+  return insert_new_class(node, data);
 }
 
 Id EGraph::add(TNode node) {
@@ -69,7 +73,7 @@ std::unordered_map<Id, Id> EGraph::add_graph(const Graph& g) {
   for (Id gid : g.topo_order()) {
     TNode node = g.node(gid);
     for (Id& c : node.children) c = mapping.at(c);
-    mapping.emplace(gid, add(std::move(node)));
+    mapping.emplace(gid, add(node));
   }
   return mapping;
 }
@@ -151,36 +155,49 @@ void EGraph::rebuild() {
 #endif
 }
 
+uint32_t EGraph::key_owner(uint32_t enode) {
+  while (enode_keys_[enode].forward != enode) {
+    uint32_t& next = enode_keys_[enode].forward;
+    next = enode_keys_[next].forward;
+    enode = next;
+  }
+  return enode;
+}
+
 void EGraph::repair(Id id) {
   EClass& cls = classes_[id];
 
   // Re-intern parents under their canonical forms; congruent parents merge.
-  auto parents = std::move(cls.parents);
+  const std::vector<uint32_t> parents = std::move(cls.parents);
   cls.parents.clear();
-  for (auto& [p_node, p_class] : parents) {
-    // Drop the stale key (no-op if already gone). Canonicalization never
-    // changes the op, so the stale and canonical forms live in one shard.
-    num_enodes_total_ -= shard(p_node).erase(p_node);
-    p_node = canonicalize(p_node);
-    auto& sh = shard(p_node);
-    auto it = sh.find(p_node);
+  repaired_forms_.clear();
+  for (uint32_t p : parents) {
+    const uint32_t owner = key_owner(p);
+    ENodeKey& entry = enode_keys_[owner];
+    // Drop the key the parent sits under. Canonicalization never changes the
+    // op, so the old and canonical forms live in one shard.
+    auto& sh = shard(entry.key);
+    num_enodes_total_ -= sh.erase(entry.key);
+    const TNode form = canonicalize(entry.key);
+    repaired_forms_.push_back(form);
+    auto it = sh.find(form);
     if (it != sh.end()) {
       // No merge means the two congruent e-nodes are already in one class.
-      if (!merge(p_class, it->second)) congruent_.push_back(p_class);
-      it->second = find(p_class);
+      if (!merge(entry.cls, it->second.cls)) congruent_.push_back(entry.cls);
+      it->second.cls = find(entry.cls);
+      entry.forward = it->second.enode;  // share the key found
     } else {
-      sh.emplace(p_node, find(p_class));
+      entry.key = form;
+      sh.emplace(form, Interned{find(entry.cls), owner});
       ++num_enodes_total_;
     }
   }
-  // Deduplicate the repaired parent list.
-  std::unordered_map<TNode, Id, TNodeHash> seen;
+  // Deduplicate the repaired parent list: keep the first parent of each
+  // canonical form, in list order.
+  std::unordered_set<TNode, TNodeHash> seen;
   EClass& cls2 = classes_[find(id)];  // `merge` above may have moved us
-  for (auto& [p_node, p_class] : parents) {
-    auto [it, inserted] = seen.emplace(p_node, find(p_class));
-    if (!inserted) continue;
-    cls2.parents.emplace_back(p_node, it->second);
-  }
+  for (size_t i = 0; i < parents.size(); ++i)
+    if (seen.insert(repaired_forms_[i]).second) cls2.parents.push_back(parents[i]);
 
   dedup_nodes(find(id));  // `merge` above may have moved us
 }
@@ -194,7 +211,7 @@ void EGraph::dedup_nodes(Id id) {
   std::vector<EClassNode> nodes;
   nodes.reserve(cls.nodes.size());
   for (EClassNode& entry : cls.nodes) {
-    entry.node = canonicalize(std::move(entry.node));
+    entry.node = canonicalize(entry.node);
     auto it = index.find(entry.node);
     if (it == index.end()) {
       index.emplace(entry.node, nodes.size());
@@ -277,23 +294,23 @@ std::optional<Id> NodeBuffer::stage(TNode node) {
 
   // E-class analysis over mixed real/staged children: same shape-check gate
   // as EGraph::try_add, evaluated against the planned data.
-  inputs_scratch_.clear();
-  inputs_scratch_.reserve(node.children.size());
-  for (Id c : node.children) inputs_scratch_.push_back(data(c));
-  auto inferred = infer(node, inputs_scratch_);
+  const ValueInfo* inputs[kMaxArity];
+  for (size_t i = 0; i < node.children.size(); ++i) inputs[i] = &data(node.children[i]);
+  auto inferred = infer(node, span<const ValueInfo* const>(inputs, node.children.size()));
   if (!inferred.has_value()) return std::nullopt;  // shape check failed
 
   // Record each real child's data epoch: commit() uses it to prove the
   // inputs this infer just consumed are still bit-identical at commit time.
-  std::vector<uint32_t> child_epochs;
-  child_epochs.reserve(node.children.size());
-  for (Id c : node.children)
-    child_epochs.push_back(is_staged(c) ? 0 : eg_->data_epoch(c));
+  std::array<uint32_t, kMaxArity> child_epochs{};
+  for (size_t i = 0; i < node.children.size(); ++i) {
+    const Id c = node.children[i];
+    child_epochs[i] = is_staged(c) ? 0 : eg_->data_epoch(c);
+  }
 
   const Id id = id_of(entries_.size());
   memo_.emplace(node, id);
-  entries_.push_back(Entry{std::move(node), std::move(*inferred),
-                           std::move(child_epochs), kInvalidId, false});
+  entries_.push_back(
+      Entry{node, std::move(*inferred), child_epochs, kInvalidId, false});
   return id;
 }
 
@@ -336,9 +353,9 @@ std::optional<Id> NodeBuffer::commit(EGraph& eg, Id id) {
   }
   std::optional<Id> added;
   if (reuse) {
-    added = eg.try_add_planned(std::move(node), entry.data);
+    added = eg.try_add_planned(node, entry.data);
   } else {
-    added = eg.try_add(std::move(node));
+    added = eg.try_add(node);
     if (!added.has_value()) {
       entry.commit_failed = true;
       return std::nullopt;

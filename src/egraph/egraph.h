@@ -9,8 +9,15 @@
 // flags: a filtered node is treated as removed by the matcher, the cycle
 // analyses, and extraction, mirroring the paper's filter list l (the ILP
 // constraint "x_i = 0 for i in l").
+//
+// Nodes and analysis values are plain data (lang/node.h, lang/shapes.h), so
+// the e-graph copies them without allocating. Each e-node is known by an id,
+// its insertion stamp: parent lists hold these ids, and the e-graph keeps
+// per id the key under which the e-node sits in the hash-cons, which is
+// what rebuild() erases and re-interns.
 #pragma once
 
+#include <array>
 #include <deque>
 #include <optional>
 #include <unordered_map>
@@ -24,7 +31,8 @@ namespace tensat {
 
 /// One e-node stored inside an e-class. `stamp` is the global insertion
 /// counter used by efficient cycle filtering to pick "the last node added"
-/// on a cycle; `filtered` marks membership in the filter list.
+/// on a cycle, and the e-node's id in parent lists; `filtered` marks
+/// membership in the filter list.
 struct EClassNode {
   TNode node;
   uint32_t stamp{0};
@@ -33,8 +41,11 @@ struct EClassNode {
 
 struct EClass {
   std::vector<EClassNode> nodes;
-  /// (parent e-node as inserted, parent class at insertion) — repaired lazily.
-  std::vector<std::pair<TNode, Id>> parents;
+  /// Parent e-nodes, by the e-node id each was inserted under (its stamp;
+  /// EGraph keeps each e-node's hash-cons key and class by that id).
+  /// Repaired lazily: rebuild() re-interns them and keeps one per canonical
+  /// form.
+  std::vector<uint32_t> parents;
   ValueInfo data;
   /// Bumped every time a merge joins another class's data into this one
   /// (whether or not the join changed anything — conservative). Lets the
@@ -147,6 +158,27 @@ class EGraph {
   [[nodiscard]] Id root() const { return find(root_); }
 
  private:
+  /// An e-node's place in the hash-cons, by e-node id. `key` is the form
+  /// under which the e-node sits in the hash-cons (as inserted, then as the
+  /// last repair re-interned it) and `cls` the class it was inserted into.
+  /// Once a repair finds an e-node congruent to another one's key, the two
+  /// share that key: `forward` names the e-node it now stands for (itself
+  /// while it owns its key), and its own `key` is no longer read.
+  struct ENodeKey {
+    TNode key;
+    Id cls{kInvalidId};
+    uint32_t forward{0};
+  };
+  /// A hash-cons value: the class holding the key (canonical once found)
+  /// and the e-node that owns the key.
+  struct Interned {
+    Id cls{kInvalidId};
+    uint32_t enode{0};
+  };
+  using HashconsShard = std::unordered_map<TNode, Interned, TNodeHash>;
+
+  /// The e-node whose key `enode` shares (path-halving walk of `forward`).
+  uint32_t key_owner(uint32_t enode);
   void repair(Id id);
   /// Canonicalizes the children of canonical class `id`'s e-nodes and drops
   /// the e-nodes that thereby become duplicates.
@@ -155,13 +187,12 @@ class EGraph {
   /// Creates a brand-new singleton class for `node` (already canonical and
   /// known absent from the hash-cons) carrying `data`. The shared tail of
   /// try_add / try_add_planned.
-  Id insert_new_class(TNode node, ValueInfo data);
+  Id insert_new_class(const TNode& node, ValueInfo data);
   /// The hash-cons map holding `node`: the one for its op symbol.
-  std::unordered_map<TNode, Id, TNodeHash>& shard(const TNode& node) {
+  HashconsShard& shard(const TNode& node) {
     return hashcons_[static_cast<size_t>(node.op)];
   }
-  [[nodiscard]] const std::unordered_map<TNode, Id, TNodeHash>& shard(
-      const TNode& node) const {
+  [[nodiscard]] const HashconsShard& shard(const TNode& node) const {
     return hashcons_[static_cast<size_t>(node.op)];
   }
 
@@ -182,16 +213,20 @@ class EGraph {
   // Hash-cons, split into one map per op symbol. Canonicalization never
   // changes a node's op, so a node's map never changes; callers treat the
   // maps as one logical map through shard(). num_enodes_total_ tracks the
-  // summed size.
-  std::vector<std::unordered_map<TNode, Id, TNodeHash>> hashcons_{
-      static_cast<size_t>(Op::kOpCount)};
+  // summed size. Every key is owned by exactly one e-node (the one that
+  // does not forward), so repairs never leave a key behind.
+  std::vector<HashconsShard> hashcons_{static_cast<size_t>(Op::kOpCount)};
   size_t num_enodes_total_{0};
+  /// One entry per e-node ever inserted, indexed by e-node id (= stamp).
+  std::vector<ENodeKey> enode_keys_;
+  /// repair()'s scratch: the canonical form each parent entry was
+  /// re-interned under, parallel to the parent list being repaired.
+  std::vector<TNode> repaired_forms_;
   std::vector<Id> pending_;
   /// Classes in which repair() found two e-nodes of the class congruent;
   /// rebuild() deduplicates them after its repair loop.
   std::vector<Id> congruent_;
   uint64_t version_{0};
-  uint32_t next_stamp_{0};
   size_t num_filtered_{0};
   Id root_{kInvalidId};
 };
@@ -259,7 +294,7 @@ class NodeBuffer {
     /// Per-child EGraph::data_epoch captured at stage() time (0 for staged
     /// children — their guard compares landed data directly). Parallel to
     /// node.children; powers commit()'s analysis-reuse proof.
-    std::vector<uint32_t> child_epochs;
+    std::array<uint32_t, kMaxArity> child_epochs{};
     Id committed{kInvalidId};
     bool commit_failed{false};
   };
@@ -273,7 +308,6 @@ class NodeBuffer {
   const EGraph* eg_;
   std::vector<Entry> entries_;
   std::unordered_map<TNode, Id, TNodeHash> memo_;  // staged-form node -> id
-  std::vector<ValueInfo> inputs_scratch_;          // stage()'s infer inputs
 };
 
 }  // namespace tensat

@@ -199,7 +199,6 @@ std::optional<Graph> build_selected_graph(
       continue;
     }
     TNode concrete{node.op, node.num, node.str, {}};
-    concrete.children.reserve(node.children.size());
     for (Id c : node.children) concrete.children.push_back(built[eg.find(c)]);
     // try_add: the chosen member can (rarely) fail the concrete shape check
     // when the class-level analysis was a join over disagreeing members;

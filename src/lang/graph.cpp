@@ -7,6 +7,10 @@
 
 namespace tensat {
 
+void detail::fail_too_many_children() {
+  TENSAT_FAIL("a node takes at most " << kMaxArity << " children");
+}
+
 std::optional<Id> Graph::try_add(TNode node) {
   TENSAT_CHECK(op_arity(node.op) == static_cast<int>(node.children.size()),
                "arity mismatch for " << op_info(node.op).name << ": got "
@@ -20,18 +24,17 @@ std::optional<Id> Graph::try_add(TNode node) {
   ValueInfo info;
   if (kind_ == GraphKind::kConcrete) {
     TENSAT_CHECK(node.op != Op::kVar, "kVar node in a concrete graph");
-    std::vector<ValueInfo> inputs;
-    inputs.reserve(node.children.size());
-    for (Id c : node.children) inputs.push_back(infos_[c]);
-    auto inferred = infer(node, inputs);
+    const ValueInfo* inputs[kMaxArity];
+    for (size_t i = 0; i < node.children.size(); ++i) inputs[i] = &infos_[node.children[i]];
+    auto inferred = infer(node, span<const ValueInfo* const>(inputs, node.children.size()));
     if (!inferred.has_value()) return std::nullopt;
     info = std::move(*inferred);
   }
 
   const Id id = static_cast<Id>(nodes_.size());
-  nodes_.push_back(std::move(node));
+  nodes_.push_back(node);
   infos_.push_back(std::move(info));
-  memo_.emplace(nodes_.back(), id);
+  memo_.emplace(node, id);
   return id;
 }
 
@@ -55,8 +58,8 @@ Id Graph::concat(int32_t axis, const std::vector<Id>& inputs) {
                "concat supports 2..5 inputs, got " << inputs.size());
   static constexpr Op kOps[] = {Op::kConcat2, Op::kConcat3, Op::kConcat4, Op::kConcat5};
   TNode n{kOps[inputs.size() - 2], 0, {}, {num(axis)}};
-  n.children.insert(n.children.end(), inputs.begin(), inputs.end());
-  return add(std::move(n));
+  for (Id in : inputs) n.children.push_back(in);
+  return add(n);
 }
 
 void Graph::add_root(Id id) {

@@ -53,13 +53,13 @@ std::optional<ValueInfo> infer_conv(const ValueInfo& sh, const ValueInfo& sw,
   return out;
 }
 
-std::optional<ValueInfo> infer_pool(span<const ValueInfo> in) {
-  const ValueInfo& x = in[0];
+std::optional<ValueInfo> infer_pool(span<const ValueInfo* const> in) {
+  const ValueInfo& x = *in[0];
   if (!is_tensor(x) || x.rank() != 4) return std::nullopt;
   for (int i = 1; i <= 6; ++i)
-    if (!is_num(in[i])) return std::nullopt;
-  const int64_t kh = in[1].num, kw = in[2].num, sh = in[3].num, sw = in[4].num;
-  const int64_t pad = in[5].num, act = in[6].num;
+    if (!is_num(*in[i])) return std::nullopt;
+  const int64_t kh = in[1]->num, kw = in[2]->num, sh = in[3]->num, sw = in[4]->num;
+  const int64_t pad = in[5]->num, act = in[6]->num;
   if (!valid_padding(pad) || !valid_activation(act)) return std::nullopt;
   const auto oh = window_out(x.shape[2], static_cast<int32_t>(kh), static_cast<int32_t>(sh), pad);
   const auto ow = window_out(x.shape[3], static_cast<int32_t>(kw), static_cast<int32_t>(sw), pad);
@@ -76,7 +76,7 @@ std::optional<ValueInfo> infer_matmul(const ValueInfo& act, const ValueInfo& a,
   const int32_t m = a.shape[ra - 2], k = a.shape[ra - 1];
   const int32_t k2 = b.shape[rb - 2], n = b.shape[rb - 1];
   if (k != k2) return std::nullopt;
-  std::vector<int32_t> dims;
+  Dims dims;
   if (ra == 3 && rb == 3) {
     if (a.shape[0] != b.shape[0]) return std::nullopt;
     dims = {a.shape[0], m, n};
@@ -99,29 +99,29 @@ std::optional<ValueInfo> infer_matmul(const ValueInfo& act, const ValueInfo& a,
   return out;
 }
 
-std::optional<ValueInfo> infer_concat(span<const ValueInfo> in) {
-  if (!is_num(in[0])) return std::nullopt;
-  const int64_t axis = in[0].num;
+std::optional<ValueInfo> infer_concat(span<const ValueInfo* const> in) {
+  if (!is_num(*in[0])) return std::nullopt;
+  const int64_t axis = in[0]->num;
   const auto tensors = in.subspan(1);
-  if (!is_tensor(tensors[0])) return std::nullopt;
-  const int rank = tensors[0].rank();
+  if (!is_tensor(*tensors[0])) return std::nullopt;
+  const int rank = tensors[0]->rank();
   if (axis < 0 || axis >= rank) return std::nullopt;
   bool weight_only = true;
   int32_t total = 0;
-  for (const ValueInfo& t : tensors) {
-    if (!is_tensor(t) || t.rank() != rank) return std::nullopt;
+  for (const ValueInfo* t : tensors) {
+    if (!is_tensor(*t) || t->rank() != rank) return std::nullopt;
     for (int d = 0; d < rank; ++d)
-      if (d != axis && t.shape[d] != tensors[0].shape[d]) return std::nullopt;
-    total += t.shape[axis];
-    weight_only = weight_only && t.weight_only;
+      if (d != axis && t->shape[d] != tensors[0]->shape[d]) return std::nullopt;
+    total += t->shape[axis];
+    weight_only = weight_only && t->weight_only;
   }
-  ValueInfo out = ValueInfo::of_tensor(std::vector<int32_t>(tensors[0].shape), weight_only);
+  ValueInfo out = ValueInfo::of_tensor(tensors[0]->shape, weight_only);
   out.shape[axis] = total;
   if (tensors.size() == 2) {
     // Binary concat records a split boundary: history prefix comes from the
     // first operand (see header comment).
-    out.hist = tensors[0].hist;
-    out.hist.push_back(ConcatEntry{static_cast<int32_t>(axis), tensors[0].shape[axis]});
+    out.hist = tensors[0]->hist;
+    out.hist.push_back(ConcatEntry{static_cast<int32_t>(axis), tensors[0]->shape[axis]});
   }
   return out;
 }
@@ -169,7 +169,7 @@ ValueInfo ValueInfo::of_str(Symbol s) {
   return out;
 }
 
-ValueInfo ValueInfo::of_tensor(std::vector<int32_t> dims, bool weight_only) {
+ValueInfo ValueInfo::of_tensor(Dims dims, bool weight_only) {
   ValueInfo out;
   out.kind = VKind::kTensor;
   out.shape = std::move(dims);
@@ -177,7 +177,7 @@ ValueInfo ValueInfo::of_tensor(std::vector<int32_t> dims, bool weight_only) {
   return out;
 }
 
-std::optional<ValueInfo> infer(const TNode& node, span<const ValueInfo> in) {
+std::optional<ValueInfo> infer(const TNode& node, span<const ValueInfo* const> in) {
   switch (node.op) {
     case Op::kNum:
       return ValueInfo::of_num(node.num);
@@ -188,35 +188,35 @@ std::optional<ValueInfo> infer(const TNode& node, span<const ValueInfo> in) {
 
     case Op::kInput:
     case Op::kWeight: {
-      if (!is_str(in[0])) return std::nullopt;
-      auto [name, dims] = parse_tensor_id(in[0].str.str());
+      if (!is_str(*in[0])) return std::nullopt;
+      auto [name, dims] = parse_tensor_id(in[0]->str.str());
       if (dims.empty()) return std::nullopt;
       for (int32_t d : dims)
         if (d <= 0) return std::nullopt;
-      return ValueInfo::of_tensor(std::move(dims), node.op == Op::kWeight);
+      return ValueInfo::of_tensor(Dims(dims.data(), dims.data() + dims.size()),
+                                  node.op == Op::kWeight);
     }
 
     case Op::kEwadd:
     case Op::kEwmul: {
-      const ValueInfo& a = in[0];
-      const ValueInfo& b = in[1];
+      const ValueInfo& a = *in[0];
+      const ValueInfo& b = *in[1];
       if (!is_tensor(a) || !is_tensor(b) || a.shape != b.shape) return std::nullopt;
-      ValueInfo out = ValueInfo::of_tensor(std::vector<int32_t>(a.shape),
-                                           a.weight_only && b.weight_only);
+      ValueInfo out = ValueInfo::of_tensor(a.shape, a.weight_only && b.weight_only);
       if (a.hist == b.hist) out.hist = a.hist;
       return out;
     }
 
     case Op::kMatmul:
-      return infer_matmul(in[0], in[1], in[2]);
+      return infer_matmul(*in[0], *in[1], *in[2]);
     case Op::kConv:
-      return infer_conv(in[0], in[1], in[2], in[3], in[4], in[5]);
+      return infer_conv(*in[0], *in[1], *in[2], *in[3], *in[4], *in[5]);
 
     case Op::kRelu:
     case Op::kTanh:
     case Op::kSigmoid: {
-      if (!is_tensor(in[0])) return std::nullopt;
-      ValueInfo out = in[0];  // shape, hist, and weight-constness all carry over
+      if (!is_tensor(*in[0])) return std::nullopt;
+      ValueInfo out = *in[0];  // shape, hist, and weight-constness all carry over
       return out;
     }
 
@@ -225,23 +225,23 @@ std::optional<ValueInfo> infer(const TNode& node, span<const ValueInfo> in) {
       return infer_pool(in);
 
     case Op::kTranspose: {
-      if (!is_tensor(in[0]) || !is_str(in[1])) return std::nullopt;
-      const auto perm = parse_dims(in[1].str.str());
-      const int rank = in[0].rank();
+      if (!is_tensor(*in[0]) || !is_str(*in[1])) return std::nullopt;
+      const auto perm = parse_dims(in[1]->str.str());
+      const int rank = in[0]->rank();
       if (static_cast<int>(perm.size()) != rank) return std::nullopt;
       std::vector<bool> seen(rank, false);
-      std::vector<int32_t> dims(rank);
+      Dims dims;
       for (int d = 0; d < rank; ++d) {
         if (perm[d] < 0 || perm[d] >= rank || seen[perm[d]]) return std::nullopt;
         seen[perm[d]] = true;
-        dims[d] = in[0].shape[perm[d]];
+        dims.push_back(in[0]->shape[perm[d]]);
       }
-      return ValueInfo::of_tensor(std::move(dims), in[0].weight_only);
+      return ValueInfo::of_tensor(std::move(dims), in[0]->weight_only);
     }
 
     case Op::kEnlarge: {
-      const ValueInfo& x = in[0];
-      const ValueInfo& ref = in[1];
+      const ValueInfo& x = *in[0];
+      const ValueInfo& ref = *in[1];
       if (!is_tensor(x) || !is_tensor(ref) || x.rank() != 4 || ref.rank() != 4)
         return std::nullopt;
       if (ref.shape[2] < x.shape[2] || ref.shape[3] < x.shape[3]) return std::nullopt;
@@ -259,22 +259,21 @@ std::optional<ValueInfo> infer(const TNode& node, span<const ValueInfo> in) {
       return infer_concat(in);
 
     case Op::kSplit:
-      return infer_split(in[0], in[1]);
+      return infer_split(*in[0], *in[1]);
 
     case Op::kSplit0:
     case Op::kSplit1: {
-      if (in[0].kind != VKind::kTuple) return std::nullopt;
+      if (in[0]->kind != VKind::kTuple) return std::nullopt;
       ValueInfo out = ValueInfo::of_tensor(
-          std::vector<int32_t>(node.op == Op::kSplit0 ? in[0].shape : in[0].shape2),
-          in[0].weight_only);
-      out.hist = in[0].hist;
+          node.op == Op::kSplit0 ? in[0]->shape : in[0]->shape2, in[0]->weight_only);
+      out.hist = in[0]->hist;
       return out;
     }
 
     case Op::kMerge: {
-      const ValueInfo& w = in[0];
-      if (!is_tensor(w) || w.rank() != 4 || !is_num(in[1])) return std::nullopt;
-      const int64_t count = in[1].num;
+      const ValueInfo& w = *in[0];
+      if (!is_tensor(w) || w.rank() != 4 || !is_num(*in[1])) return std::nullopt;
+      const int64_t count = in[1]->num;
       if (count < 1 || w.shape[0] % count != 0) return std::nullopt;
       return ValueInfo::of_tensor(
           {w.shape[0], static_cast<int32_t>(w.shape[1] * count), w.shape[2], w.shape[3]},
@@ -282,19 +281,20 @@ std::optional<ValueInfo> infer(const TNode& node, span<const ValueInfo> in) {
     }
 
     case Op::kReshape: {
-      if (!is_tensor(in[0]) || !is_str(in[1])) return std::nullopt;
-      auto dims = parse_dims(in[1].str.str());
+      if (!is_tensor(*in[0]) || !is_str(*in[1])) return std::nullopt;
+      const auto dims = parse_dims(in[1]->str.str());
       int64_t vol = 1;
       for (int32_t d : dims) {
         if (d <= 0) return std::nullopt;
         vol *= d;
       }
-      if (vol != in[0].volume()) return std::nullopt;
-      return ValueInfo::of_tensor(std::move(dims), in[0].weight_only);
+      if (vol != in[0]->volume()) return std::nullopt;
+      return ValueInfo::of_tensor(Dims(dims.data(), dims.data() + dims.size()),
+                                  in[0]->weight_only);
     }
 
     case Op::kNoop: {
-      if (in[0].kind == VKind::kInvalid || in[1].kind == VKind::kInvalid)
+      if (in[0]->kind == VKind::kInvalid || in[1]->kind == VKind::kInvalid)
         return std::nullopt;
       ValueInfo out;
       out.kind = VKind::kTensor;  // sentinel: empty shape, zero cost

@@ -17,8 +17,8 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
+#include "support/small_vec.h"
 #include "support/span.h"
 
 #include "lang/node.h"
@@ -38,11 +38,22 @@ struct ConcatEntry {
   friend bool operator!=(const ConcatEntry& a, const ConcatEntry& b) { return !(a == b); }
 };
 
+/// Tensor dims. Four fit inline (every tensor of the paper's models has
+/// rank <= 4); higher ranks spill to the heap.
+using Dims = SmallVec<int32_t, 4>;
+/// A concat-boundary stack. Two entries fit inline (no class of the paper's
+/// models, explored at saturation settings, carries more); deeper histories
+/// spill to the heap.
+using ConcatHistory = SmallVec<ConcatEntry, 2>;
+
+/// The analysis value of a node. Plain data held in small inline buffers,
+/// so copying one (the e-graph does per node added and per merge) stays
+/// off the heap unless a shape or history outgrows its buffer.
 struct ValueInfo {
   VKind kind{VKind::kInvalid};
-  std::vector<int32_t> shape;        // kTensor: dims; kTuple: dims of first half
-  std::vector<int32_t> shape2;       // kTuple: dims of second half
-  std::vector<ConcatEntry> hist;     // concat-boundary stack (kTensor / kTuple prefix)
+  Dims shape;                        // kTensor: dims; kTuple: dims of first half
+  Dims shape2;                       // kTuple: dims of second half
+  ConcatHistory hist;                // concat-boundary stack (kTensor / kTuple prefix)
   int64_t num{0};                    // kNum payload
   Symbol str{};                      // kStr payload
   bool weight_only{false};           // value derivable from weights alone
@@ -62,14 +73,15 @@ struct ValueInfo {
 
   static ValueInfo of_num(int64_t v);
   static ValueInfo of_str(Symbol s);
-  static ValueInfo of_tensor(std::vector<int32_t> dims, bool weight_only = false);
+  static ValueInfo of_tensor(Dims dims, bool weight_only = false);
 };
 
 /// Infers the output ValueInfo for `node` given its children's infos (in
-/// child order). Returns nullopt when the operator's shape preconditions do
-/// not hold — this is exactly the paper's shape check that gates rewrite
-/// application. kVar nodes always return nullopt.
-std::optional<ValueInfo> infer(const TNode& node, span<const ValueInfo> inputs);
+/// child order, by pointer, so callers hand over the values where they live
+/// instead of copying them). Returns nullopt when the operator's shape
+/// preconditions do not hold — this is exactly the paper's shape check that
+/// gates rewrite application. kVar nodes always return nullopt.
+std::optional<ValueInfo> infer(const TNode& node, span<const ValueInfo* const> inputs);
 
 /// Human-readable rendering, for diagnostics and test failure messages.
 std::string to_string(const ValueInfo& v);

@@ -35,7 +35,6 @@ std::optional<Id> instantiate(EGraph& eg, const Graph& pat, Id root, const Subst
       result = eg.find(*bound);
     } else {
       TNode node{p.op, p.num, p.str, {}};
-      node.children.reserve(p.children.size());
       for (Id c : p.children) {
         auto child = go(c);
         if (!child) return std::nullopt;
@@ -74,7 +73,6 @@ struct Planner {
       result = eg.find(*bound);
     } else {
       TNode node{p.op, p.num, p.str, {}};
-      node.children.reserve(p.children.size());
       for (Id c : p.children) {
         const Id child = go(c);
         if (failed) return kInvalidId;

@@ -24,7 +24,6 @@ Id copy_renamed(const Graph& src, Id id, Graph& dst,
     return dst.add(make_var(it->second));
   }
   TNode out{n.op, n.num, n.str, {}};
-  out.children.reserve(n.children.size());
   for (Id c : n.children)
     out.children.push_back(copy_renamed(src, c, dst, var_map, rename));
   return dst.add(std::move(out));

@@ -87,7 +87,6 @@ std::optional<Id> copy_original(const Graph& src, Id id, Graph& dst,
   if (it != memo.end()) return it->second;
   const TNode& n = src.node(id);
   TNode out{n.op, n.num, n.str, {}};
-  out.children.reserve(n.children.size());
   for (Id c : n.children) {
     auto copied = copy_original(src, c, dst, memo);
     if (!copied) return std::nullopt;
@@ -114,7 +113,6 @@ std::optional<Id> instantiate_target(const Graph& g, const Graph& pat, Id pid,
     result = copy_original(g, *bound, dst, orig_memo);
   } else {
     TNode out{p.op, p.num, p.str, {}};
-    out.children.reserve(p.children.size());
     for (Id c : p.children) {
       auto child = instantiate_target(g, pat, c, subst, dst, orig_memo, pat_memo);
       if (!child) return std::nullopt;
@@ -136,7 +134,6 @@ std::optional<Id> copy_rewritten(const Graph& g, Id id, Graph& dst,
   if (it != memo.end()) return it->second;
   const TNode& n = g.node(id);
   TNode out{n.op, n.num, n.str, {}};
-  out.children.reserve(n.children.size());
   for (Id c : n.children) {
     auto copied = copy_rewritten(g, c, dst, replacement, memo);
     if (!copied) return std::nullopt;

@@ -2,7 +2,9 @@
 // Algorithm 2), pinning the properties exploration relies on:
 //
 //  * after any random interleaving of adds, merges and filterings, a
-//    rebuild followed by filter_cycles() leaves the e-graph acyclic;
+//    rebuild followed by filter_cycles() leaves the e-graph acyclic, with
+//    no e-node stored twice and exactly one hash-cons key per stored e-node
+//    (tests/egraph_invariants.h);
 //  * on that clean, acyclic e-graph, DescendantsMap::reaches() is exactly
 //    reachability over unfiltered e-nodes, checked against a plain DFS on
 //    every ordered class pair. The O(1) pre-filter's soundness rests on it:
@@ -34,7 +36,7 @@ namespace {
 /// analysis join requires equal kind and shape).
 std::vector<Id> tensor_classes(const EGraph& eg) {
   std::vector<Id> out;
-  const std::vector<int32_t> shape{8, 8};
+  const Dims shape{8, 8};
   for (Id cls : eg.canonical_classes())
     if (eg.data(cls).is_tensor() && eg.data(cls).shape == shape) out.push_back(cls);
   return out;
@@ -120,6 +122,8 @@ TEST(CyclesFuzz, RandomChurnSweepsAcyclicAndMapIsExact) {
       eg.rebuild();
       total_filtered += filter_cycles(eg);
       ASSERT_TRUE(is_acyclic(eg)) << "seed " << seed << " round " << round;
+      ASSERT_EQ(egraph_invariant_violations(eg), "")
+          << "seed " << seed << " round " << round;
       const DescendantsMap map(eg);
       ASSERT_EQ(reaches_mismatches(eg, map), 0u)
           << "seed " << seed << " round " << round;

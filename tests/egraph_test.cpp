@@ -255,6 +255,29 @@ TEST(EGraph, CongruentNodesOfOneClassDeduplicate) {
   EXPECT_EQ(eg.num_enodes(), eg.num_enodes_total());
 }
 
+TEST(EGraph, StaleKeysDoNotOvercount) {
+  // ewadd(a, b) is re-interned twice, once per child merged away, in two
+  // rebuilds. Each repair must drop the key the previous one wrote, so the
+  // hash-cons holds one key per stored e-node.
+  Graph g;
+  const Id a = g.input("a", {2, 2});
+  const Id b = g.input("b", {2, 2});
+  const Id c = g.input("c", {2, 2});
+  const Id d = g.input("d", {2, 2});
+  const Id sum = g.ewadd(a, b);
+  for (Id root : {sum, c, d}) g.add_root(root);
+  EGraph eg;
+  auto m = eg.add_graph(g);
+  eg.merge(m.at(c), m.at(a));
+  eg.rebuild();
+  eg.merge(m.at(d), m.at(b));
+  eg.rebuild();
+  size_t stored = 0;
+  for (Id cls : eg.canonical_classes()) stored += eg.eclass(cls).nodes.size();
+  EXPECT_EQ(stored, 9u);  // 4 strs, 4 inputs, 1 ewadd
+  EXPECT_EQ(eg.num_enodes_total(), 9u);
+}
+
 TEST(EGraph, NumClassesTracksMerges) {
   Graph g;
   const Id a = g.input("a", {2, 2});

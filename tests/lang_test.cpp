@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "lang/graph.h"
 #include "lang/op.h"
 #include "lang/parse.h"
@@ -26,6 +28,25 @@ TEST(Op, ArityMatchesSignature) {
   EXPECT_EQ(op_arity(Op::kPoolmax), 7);
   EXPECT_EQ(op_arity(Op::kNum), 0);
   EXPECT_EQ(op_arity(Op::kConcat4), 5);
+}
+
+TEST(Op, EveryArityFitsInline) {
+  // TNode stores children in an inline array of kMaxArity ids; an op with
+  // more would need a wider array.
+  size_t widest = 0;
+  for (size_t i = 0; i < static_cast<size_t>(Op::kOpCount); ++i) {
+    const Op op = static_cast<Op>(i);
+    EXPECT_LE(static_cast<size_t>(op_arity(op)), kMaxArity) << op_info(op).name;
+    widest = std::max(widest, static_cast<size_t>(op_arity(op)));
+  }
+  EXPECT_EQ(widest, kMaxArity);  // no wider than it must be
+}
+
+TEST(TNode, TooManyChildrenThrow) {
+  TNode node{Op::kPoolmax, 0, {}, {}};
+  for (size_t i = 0; i < kMaxArity; ++i) node.children.push_back(0);
+  EXPECT_THROW(node.children.push_back(0), Error);
+  EXPECT_EQ(node.children.size(), kMaxArity);
 }
 
 TEST(Op, DimsRoundTrip) {
@@ -152,7 +173,7 @@ TEST(Parse, ConcreteInput) {
   Graph g;
   const Id root = parse_into(g, "(relu (input x@2_3))");
   EXPECT_EQ(g.node(root).op, Op::kRelu);
-  EXPECT_EQ(g.info(root).shape, (std::vector<int32_t>{2, 3}));
+  EXPECT_EQ(g.info(root).shape, (Dims{2, 3}));
 }
 
 TEST(Parse, MultipleExprs) {
@@ -167,6 +188,9 @@ TEST(Parse, ErrorsOnMalformedInput) {
   EXPECT_THROW(parse_into(g, "(nosuchop ?a)"), Error);    // unknown head
   EXPECT_THROW(parse_into(g, "(ewadd ?a ?b) tail"), Error);  // trailing tokens
   EXPECT_THROW(parse_into(g, "(ewadd ?a ?b ?c)"), Error);    // arity
+  // Eight arguments: more than any op takes, rejected before the node's
+  // inline child array could overflow.
+  EXPECT_THROW(parse_into(g, "(poolmax ?a ?b ?c ?d ?e ?f ?g ?h)"), Error);
 }
 
 TEST(Parse, PrintParseRoundTrip) {

@@ -191,6 +191,15 @@ TEST_P(SerializeFuzz, RandomLineSoupNeverCrashes) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SerializeFuzz, ::testing::Range(0, 200));
 
+/// A graph whose second line is `op` over `children` copies of node 0.
+std::string op_line_with_children(const char* op, int children) {
+  std::string text = "tensat-graph v1\n0 num 3\n1 ";
+  text += op;
+  for (int i = 0; i < children; ++i) text += " 0";
+  text += "\nroots 1\n";
+  return text;
+}
+
 TEST(SerializeEdge, MalformedInputsThrow) {
   static const char* kBad[] = {
       // Trailing garbage on the roots line (used to be silently dropped).
@@ -216,6 +225,12 @@ TEST(SerializeEdge, MalformedInputsThrow) {
   };
   for (const char* bad : kBad) {
     EXPECT_THROW(load_graph_from_string(bad), Error) << bad;
+  }
+  // More child ids than any op takes (kMaxArity is 7): rejected while the
+  // line is read, before the node's inline child array could overflow.
+  for (int children : {8, 64}) {
+    EXPECT_THROW(load_graph_from_string(op_line_with_children("poolmax", children)), Error)
+        << children;
   }
 }
 
@@ -422,6 +437,10 @@ TEST(SerializeEdge, ScannerMatchesOracleOnEdgeCases) {
   for (const char* text : kCases) {
     expect_same_as_oracle(text, false);
     expect_same_as_oracle(text, true);
+  }
+  for (int children : {8, 64}) {
+    expect_same_as_oracle(op_line_with_children("poolmax", children), false);
+    expect_same_as_oracle(op_line_with_children("poolmax", children), true);
   }
 }
 

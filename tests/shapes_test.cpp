@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "lang/graph.h"
 #include "lang/parse.h"
 #include "lang/shapes.h"
@@ -15,7 +18,7 @@ TEST(Shapes, MatmulBasic) {
   const Id a = g.input("a", {4, 8});
   const Id b = g.weight("b", {8, 3});
   const Id m = g.matmul(a, b);
-  EXPECT_EQ(g.info(m).shape, (std::vector<int32_t>{4, 3}));
+  EXPECT_EQ(g.info(m).shape, (Dims{4, 3}));
   EXPECT_FALSE(g.info(m).weight_only);
 }
 
@@ -30,14 +33,14 @@ TEST(Shapes, MatmulBatched) {
   Graph g;
   const Id a = g.input("a", {2, 4, 8});
   const Id b = g.input("b", {2, 8, 5});
-  EXPECT_EQ(g.info(g.matmul(a, b)).shape, (std::vector<int32_t>{2, 4, 5}));
+  EXPECT_EQ(g.info(g.matmul(a, b)).shape, (Dims{2, 4, 5}));
 }
 
 TEST(Shapes, MatmulBroadcastRhs) {
   Graph g;
   const Id a = g.input("a", {2, 4, 8});
   const Id w = g.weight("w", {8, 5});
-  EXPECT_EQ(g.info(g.matmul(a, w)).shape, (std::vector<int32_t>{2, 4, 5}));
+  EXPECT_EQ(g.info(g.matmul(a, w)).shape, (Dims{2, 4, 5}));
 }
 
 TEST(Shapes, MatmulBatchMismatchFails) {
@@ -59,7 +62,7 @@ TEST(Shapes, ConvSamePadding) {
   const Id x = g.input("x", {1, 8, 14, 14});
   const Id w = g.weight("w", {16, 8, 3, 3});
   const Id c = g.conv(x, w, 1, 1, kPadSame);
-  EXPECT_EQ(g.info(c).shape, (std::vector<int32_t>{1, 16, 14, 14}));
+  EXPECT_EQ(g.info(c).shape, (Dims{1, 16, 14, 14}));
 }
 
 TEST(Shapes, ConvValidPaddingAndStride) {
@@ -67,7 +70,7 @@ TEST(Shapes, ConvValidPaddingAndStride) {
   const Id x = g.input("x", {1, 8, 14, 14});
   const Id w = g.weight("w", {16, 8, 3, 3});
   const Id c = g.conv(x, w, 2, 2, kPadValid);
-  EXPECT_EQ(g.info(c).shape, (std::vector<int32_t>{1, 16, 6, 6}));
+  EXPECT_EQ(g.info(c).shape, (Dims{1, 16, 6, 6}));
 }
 
 TEST(Shapes, GroupedConv) {
@@ -75,7 +78,7 @@ TEST(Shapes, GroupedConv) {
   const Id x = g.input("x", {1, 8, 7, 7});
   const Id w = g.weight("w", {16, 2, 3, 3});  // groups = 4
   const Id c = g.conv(x, w, 1, 1, kPadSame);
-  EXPECT_EQ(g.info(c).shape, (std::vector<int32_t>{1, 16, 7, 7}));
+  EXPECT_EQ(g.info(c).shape, (Dims{1, 16, 7, 7}));
 }
 
 TEST(Shapes, ConvBadGroupingFails) {
@@ -100,7 +103,7 @@ TEST(Shapes, TransposePermutes) {
   Graph g;
   const Id x = g.input("x", {2, 3, 4});
   const Id t = g.transpose(x, {2, 0, 1});
-  EXPECT_EQ(g.info(t).shape, (std::vector<int32_t>{4, 2, 3}));
+  EXPECT_EQ(g.info(t).shape, (Dims{4, 2, 3}));
 }
 
 TEST(Shapes, TransposeBadPermFails) {
@@ -117,7 +120,7 @@ TEST(Shapes, ConcatSums) {
   const Id a = g.input("a", {1, 4, 7, 7});
   const Id b = g.input("b", {1, 6, 7, 7});
   const Id c = g.concat(1, {a, b});
-  EXPECT_EQ(g.info(c).shape, (std::vector<int32_t>{1, 10, 7, 7}));
+  EXPECT_EQ(g.info(c).shape, (Dims{1, 10, 7, 7}));
   ASSERT_EQ(g.info(c).hist.size(), 1u);
   EXPECT_EQ(g.info(c).hist[0].axis, 1);
   EXPECT_EQ(g.info(c).hist[0].pos, 4);
@@ -145,8 +148,8 @@ TEST(Shapes, SplitRoundTrip) {
   const Id sp = g.split(1, cat);
   const ValueInfo& info = g.info(sp);
   EXPECT_EQ(info.kind, VKind::kTuple);
-  EXPECT_EQ(info.shape, (std::vector<int32_t>{2, 3}));
-  EXPECT_EQ(info.shape2, (std::vector<int32_t>{2, 5}));
+  EXPECT_EQ(info.shape, (Dims{2, 3}));
+  EXPECT_EQ(info.shape2, (Dims{2, 5}));
   EXPECT_EQ(g.info(g.split0(sp)).shape, g.info(a).shape);
   EXPECT_EQ(g.info(g.split1(sp)).shape, g.info(b).shape);
 }
@@ -172,11 +175,48 @@ TEST(Shapes, NestedConcatSplitUsesMostRecent) {
   const Id c = g.input("c", {2, 2});
   const Id outer = g.concat(1, {inner, c});      // boundary at 8
   const Id sp = g.split(1, outer);
-  EXPECT_EQ(g.info(sp).shape, (std::vector<int32_t>{2, 8}));
-  EXPECT_EQ(g.info(sp).shape2, (std::vector<int32_t>{2, 2}));
+  EXPECT_EQ(g.info(sp).shape, (Dims{2, 8}));
+  EXPECT_EQ(g.info(sp).shape2, (Dims{2, 2}));
   // The first half keeps the inner boundary and can be split again.
   const Id sp2 = g.split(1, g.split0(sp));
-  EXPECT_EQ(g.info(sp2).shape, (std::vector<int32_t>{2, 3}));
+  EXPECT_EQ(g.info(sp2).shape, (Dims{2, 3}));
+}
+
+TEST(Shapes, DeepConcatHistorySpillsAndSplitsBack) {
+  // Five binary concats stack five boundaries, more than ValueInfo keeps
+  // inline; five splits must still peel the operands off in reverse order.
+  Graph g;
+  std::vector<Id> parts;
+  for (int i = 0; i <= 5; ++i)
+    parts.push_back(g.input("p" + std::to_string(i), {2, i + 1}));
+  Id cat = parts[0];
+  for (int i = 1; i <= 5; ++i) cat = g.concat(1, {cat, parts[i]});
+  ASSERT_EQ(g.info(cat).hist.size(), 5u);
+  EXPECT_FALSE(g.info(cat).hist.is_inline());
+  EXPECT_EQ(g.info(cat).shape, (Dims{2, 21}));
+  Id rest = cat;
+  for (int i = 5; i >= 1; --i) {
+    const Id sp = g.split(1, rest);
+    EXPECT_EQ(g.info(g.split1(sp)).shape, g.info(parts[i]).shape) << i;
+    rest = g.split0(sp);
+    EXPECT_EQ(g.info(rest).hist.size(), static_cast<size_t>(i - 1)) << i;
+  }
+  EXPECT_EQ(g.info(rest).shape, g.info(parts[0]).shape);
+  EXPECT_FALSE(g.try_add({Op::kSplit, 0, {}, {g.num(1), rest}}).has_value());
+}
+
+TEST(Shapes, HighRankTensorSpills) {
+  // Rank 6 is past the four dims ValueInfo keeps inline.
+  Graph g;
+  const Id x = g.input("x", {1, 2, 3, 4, 5, 6});
+  const Id y = g.input("y", {1, 2, 3, 4, 5, 6});
+  const ValueInfo& sum = g.info(g.ewadd(x, y));
+  EXPECT_EQ(sum.shape, (Dims{1, 2, 3, 4, 5, 6}));
+  EXPECT_FALSE(sum.shape.is_inline());
+  EXPECT_EQ(sum.rank(), 6);
+  EXPECT_EQ(sum.volume(), 720);
+  EXPECT_FALSE(g.try_add({Op::kEwadd, 0, {}, {x, g.input("z", {1, 2, 3, 4, 5, 7})}})
+                   .has_value());
 }
 
 TEST(Shapes, HistPropagatesThroughMatmulRhs) {
@@ -188,8 +228,8 @@ TEST(Shapes, HistPropagatesThroughMatmulRhs) {
   const Id c = g.weight("c", {8, 5});
   const Id m = g.matmul(x, g.concat(1, {b, c}));
   const Id sp = g.split(1, m);
-  EXPECT_EQ(g.info(sp).shape, (std::vector<int32_t>{4, 3}));
-  EXPECT_EQ(g.info(sp).shape2, (std::vector<int32_t>{4, 5}));
+  EXPECT_EQ(g.info(sp).shape, (Dims{4, 3}));
+  EXPECT_EQ(g.info(sp).shape2, (Dims{4, 5}));
 }
 
 TEST(Shapes, HistPropagatesThroughMatmulLhsRows) {
@@ -199,8 +239,8 @@ TEST(Shapes, HistPropagatesThroughMatmulLhsRows) {
   const Id w = g.weight("w", {8, 3});
   const Id m = g.matmul(g.concat(0, {x, y}), w);
   const Id sp = g.split(0, m);
-  EXPECT_EQ(g.info(sp).shape, (std::vector<int32_t>{4, 3}));
-  EXPECT_EQ(g.info(sp).shape2, (std::vector<int32_t>{6, 3}));
+  EXPECT_EQ(g.info(sp).shape, (Dims{4, 3}));
+  EXPECT_EQ(g.info(sp).shape2, (Dims{6, 3}));
 }
 
 TEST(Shapes, HistPropagatesThroughConvWeights) {
@@ -212,8 +252,8 @@ TEST(Shapes, HistPropagatesThroughConvWeights) {
   const Id w2 = g.weight("w2", {12, 8, 3, 3});
   const Id c = g.conv(x, g.concat(0, {w1, w2}), 1, 1, kPadSame);
   const Id sp = g.split(1, c);
-  EXPECT_EQ(g.info(sp).shape, (std::vector<int32_t>{1, 4, 7, 7}));
-  EXPECT_EQ(g.info(sp).shape2, (std::vector<int32_t>{1, 12, 7, 7}));
+  EXPECT_EQ(g.info(sp).shape, (Dims{1, 4, 7, 7}));
+  EXPECT_EQ(g.info(sp).shape2, (Dims{1, 12, 7, 7}));
 }
 
 TEST(Shapes, HistSurvivesActivations) {
@@ -229,7 +269,7 @@ TEST(Shapes, EnlargePads) {
   const Id w = g.weight("w", {4, 8, 3, 3});
   const Id ref = g.weight("ref", {2, 2, 5, 5});
   const Id e = g.enlarge(w, ref);
-  EXPECT_EQ(g.info(e).shape, (std::vector<int32_t>{4, 8, 5, 5}));
+  EXPECT_EQ(g.info(e).shape, (Dims{4, 8, 5, 5}));
 }
 
 TEST(Shapes, EnlargeOddParityFails) {
@@ -249,7 +289,7 @@ TEST(Shapes, EnlargeShrinkFails) {
 TEST(Shapes, ReshapeChecksVolume) {
   Graph g;
   const Id x = g.input("x", {2, 6});
-  EXPECT_EQ(g.info(g.reshape(x, {3, 4})).shape, (std::vector<int32_t>{3, 4}));
+  EXPECT_EQ(g.info(g.reshape(x, {3, 4})).shape, (Dims{3, 4}));
   EXPECT_FALSE(g.try_add({Op::kReshape, 0, {}, {x, g.str("5_2")}}).has_value());
 }
 
@@ -257,7 +297,7 @@ TEST(Shapes, MergeExpandsWeight) {
   Graph g;
   const Id w = g.weight("w", {8, 2, 3, 3});
   const Id m = g.merge(w, 2);
-  EXPECT_EQ(g.info(m).shape, (std::vector<int32_t>{8, 4, 3, 3}));
+  EXPECT_EQ(g.info(m).shape, (Dims{8, 4, 3, 3}));
   EXPECT_TRUE(g.info(m).weight_only);
 }
 
@@ -265,9 +305,9 @@ TEST(Shapes, PoolShapes) {
   Graph g;
   const Id x = g.input("x", {1, 4, 8, 8});
   EXPECT_EQ(g.info(g.poolmax(x, 2, 2, 2, 2, kPadValid)).shape,
-            (std::vector<int32_t>{1, 4, 4, 4}));
+            (Dims{1, 4, 4, 4}));
   EXPECT_EQ(g.info(g.poolavg(x, 3, 3, 1, 1, kPadSame)).shape,
-            (std::vector<int32_t>{1, 4, 8, 8}));
+            (Dims{1, 4, 8, 8}));
 }
 
 TEST(Shapes, InvalidActivationModeFails) {

@@ -10,6 +10,7 @@
 #include "support/hash.h"
 #include "support/parallel.h"
 #include "support/rng.h"
+#include "support/small_vec.h"
 #include "support/symbol.h"
 #include "support/timer.h"
 
@@ -143,6 +144,76 @@ TEST(ParallelFor, RethrowsWorkerException) {
 TEST(ParallelFor, ResolveThreadsNeverZero) {
   EXPECT_GE(resolve_threads(0), 1u);
   EXPECT_EQ(resolve_threads(5), 5u);
+}
+
+TEST(SmallVec, GrowsPastInlineCapacity) {
+  SmallVec<int32_t, 2> v;
+  EXPECT_TRUE(v.empty());
+  EXPECT_TRUE(v.is_inline());
+  for (int32_t i = 0; i < 2; ++i) v.push_back(i);
+  EXPECT_TRUE(v.is_inline());
+  for (int32_t i = 2; i < 8; ++i) v.push_back(i);  // heap blocks of 4, then 8
+  EXPECT_FALSE(v.is_inline());
+  ASSERT_EQ(v.size(), 8u);
+  for (int32_t i = 0; i < 8; ++i) EXPECT_EQ(v[i], i);
+  v.push_back(v[0]);  // an element of the full vector itself: it regrows
+  ASSERT_EQ(v.size(), 9u);
+  EXPECT_EQ(v[8], 0);
+  for (int32_t i = 0; i < 8; ++i) EXPECT_EQ(v[i], i);
+}
+
+TEST(SmallVec, CopyAndMoveKeepElements) {
+  const SmallVec<int32_t, 2> small{1, 2};
+  const SmallVec<int32_t, 2> big{1, 2, 3, 4, 5};
+  for (const auto* src : {&small, &big}) {
+    SmallVec<int32_t, 2> copy(*src);
+    EXPECT_EQ(copy, *src);
+    SmallVec<int32_t, 2> assigned{9};
+    assigned = *src;
+    EXPECT_EQ(assigned, *src);
+    SmallVec<int32_t, 2> moved(std::move(copy));
+    EXPECT_EQ(moved, *src);
+    EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move): defined
+    SmallVec<int32_t, 2> move_assigned{7, 8, 9};
+    move_assigned = std::move(moved);
+    EXPECT_EQ(move_assigned, *src);
+    EXPECT_TRUE(moved.empty());  // NOLINT(bugprone-use-after-move): defined
+  }
+  // A copy of a heap vector owns its own block.
+  SmallVec<int32_t, 2> copy(big);
+  copy[0] = 42;
+  EXPECT_EQ(big[0], 1);
+}
+
+TEST(SmallVec, SelfAssignmentIsANoOp) {
+  SmallVec<int32_t, 2> small{1, 2};
+  SmallVec<int32_t, 2> big{1, 2, 3};
+  auto& small_ref = small;
+  auto& big_ref = big;
+  small = small_ref;
+  big = big_ref;
+  EXPECT_EQ(small, (SmallVec<int32_t, 2>{1, 2}));
+  EXPECT_EQ(big, (SmallVec<int32_t, 2>{1, 2, 3}));
+  small = std::move(small_ref);
+  big = std::move(big_ref);
+  EXPECT_EQ(small, (SmallVec<int32_t, 2>{1, 2}));
+  EXPECT_EQ(big, (SmallVec<int32_t, 2>{1, 2, 3}));
+}
+
+TEST(SmallVec, EqualityIgnoresWhereElementsLive) {
+  SmallVec<int32_t, 2> heap{1, 2, 3};
+  heap.clear();  // keeps its heap block
+  heap.push_back(4);
+  heap.push_back(5);
+  ASSERT_FALSE(heap.is_inline());
+  const SmallVec<int32_t, 2> inline_same{4, 5};
+  ASSERT_TRUE(inline_same.is_inline());
+  EXPECT_EQ(heap, inline_same);
+  EXPECT_NE(heap, (SmallVec<int32_t, 2>{4, 6}));
+  EXPECT_NE(heap, (SmallVec<int32_t, 2>{4}));
+  const int32_t raw[] = {4, 5};
+  heap.assign(raw, raw + 2);
+  EXPECT_EQ(heap, inline_same);
 }
 
 TEST(Timer, MeasuresElapsed) {
