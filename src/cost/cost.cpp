@@ -20,7 +20,7 @@ double tensor_bytes(const ValueInfo& v) {
 
 }  // namespace
 
-double T4CostModel::op_cost(const TNode& node, span<const ValueInfo> inputs,
+double T4CostModel::op_cost(const TNode& node, span<const ValueInfo* const> inputs,
                             const ValueInfo& out) const {
   double flops = 0.0;
   double bytes = 0.0;
@@ -41,22 +41,22 @@ double T4CostModel::op_cost(const TNode& node, span<const ValueInfo> inputs,
       return 0.0;
 
     case Op::kMatmul: {
-      const ValueInfo& a = inputs[1];
+      const ValueInfo& a = *inputs[1];
       const int ra = a.rank();
       const double m = out.shape[out.rank() - 2];
       const double n = out.shape[out.rank() - 1];
       const double k = a.shape[ra - 1];
       const double batch = out.rank() == 3 ? out.shape[0] : 1.0;
       flops = 2.0 * batch * m * n * k;
-      bytes = tensor_bytes(a) + tensor_bytes(inputs[2]) + tensor_bytes(out);
+      bytes = tensor_bytes(a) + tensor_bytes(*inputs[2]) + tensor_bytes(out);
       break;
     }
     case Op::kConv: {
-      const ValueInfo& w = inputs[5];
+      const ValueInfo& w = *inputs[5];
       const double cin_per_group = w.shape[1];
       const double kh = w.shape[2], kw = w.shape[3];
       flops = 2.0 * static_cast<double>(out.volume()) * cin_per_group * kh * kw;
-      bytes = tensor_bytes(inputs[4]) + tensor_bytes(w) + tensor_bytes(out);
+      bytes = tensor_bytes(*inputs[4]) + tensor_bytes(w) + tensor_bytes(out);
       break;
     }
     case Op::kEwadd:
@@ -72,10 +72,10 @@ double T4CostModel::op_cost(const TNode& node, span<const ValueInfo> inputs,
       break;
     case Op::kPoolmax:
     case Op::kPoolavg: {
-      const double kh = static_cast<double>(inputs[1].num);
-      const double kw = static_cast<double>(inputs[2].num);
+      const double kh = static_cast<double>(inputs[1]->num);
+      const double kw = static_cast<double>(inputs[2]->num);
       flops = static_cast<double>(out.volume()) * kh * kw;
-      bytes = tensor_bytes(inputs[0]) + tensor_bytes(out);
+      bytes = tensor_bytes(*inputs[0]) + tensor_bytes(out);
       break;
     }
     case Op::kTranspose:
@@ -102,7 +102,7 @@ double T4CostModel::op_cost(const TNode& node, span<const ValueInfo> inputs,
 }
 
 double MeasuredRuntimeModel::op_cost(const TNode& node,
-                                     span<const ValueInfo> inputs,
+                                     span<const ValueInfo* const> inputs,
                                      const ValueInfo& out) const {
   double cost = base_->op_cost(node, inputs, out);
   if (cost == 0.0) return 0.0;
@@ -134,7 +134,7 @@ double MeasuredRuntimeModel::op_cost(const TNode& node,
 }
 
 double node_cost(const CostModel& model, const TNode& node,
-                 span<const ValueInfo> inputs, const ValueInfo& out) {
+                 span<const ValueInfo* const> inputs, const ValueInfo& out) {
   if (out.weight_only) return 0.0;  // precomputed at inference time
   return model.op_cost(node, inputs, out);
 }
@@ -142,20 +142,20 @@ double node_cost(const CostModel& model, const TNode& node,
 double graph_cost(const Graph& g, const CostModel& model) {
   TENSAT_CHECK(g.kind() == GraphKind::kConcrete, "cannot cost a pattern graph");
   double total = 0.0;
-  ValueInfo inputs[kMaxArity];
+  const ValueInfo* inputs[kMaxArity];
   for (Id id : g.topo_order()) {
     const TNode& n = g.node(id);
-    for (size_t i = 0; i < n.children.size(); ++i) inputs[i] = g.info(n.children[i]);
-    total += node_cost(model, n, span<const ValueInfo>(inputs, n.children.size()),
+    for (size_t i = 0; i < n.children.size(); ++i) inputs[i] = &g.info(n.children[i]);
+    total += node_cost(model, n, span<const ValueInfo* const>(inputs, n.children.size()),
                        g.info(id));
   }
   return total;
 }
 
 double enode_cost(const EGraph& eg, Id cls, const TNode& node, const CostModel& model) {
-  ValueInfo inputs[kMaxArity];
-  for (size_t i = 0; i < node.children.size(); ++i) inputs[i] = eg.data(node.children[i]);
-  return node_cost(model, node, span<const ValueInfo>(inputs, node.children.size()),
+  const ValueInfo* inputs[kMaxArity];
+  for (size_t i = 0; i < node.children.size(); ++i) inputs[i] = &eg.data(node.children[i]);
+  return node_cost(model, node, span<const ValueInfo* const>(inputs, node.children.size()),
                    eg.data(cls));
 }
 

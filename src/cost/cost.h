@@ -25,12 +25,13 @@ class CostModel {
  public:
   virtual ~CostModel() = default;
   /// Estimated runtime, in microseconds, of one execution of `node` given
-  /// its input and output value infos. Pure operator cost: the weight-only
+  /// its input value infos (one pointer per child, as infer() takes them)
+  /// and its output value info. Pure operator cost: the weight-only
   /// zeroing convention is applied by node_cost(), not here. Must be >= 0:
   /// greedy extraction settles classes in nondecreasing cost order and
   /// throws on a negative cost.
   [[nodiscard]] virtual double op_cost(const TNode& node,
-                                       span<const ValueInfo> inputs,
+                                       span<const ValueInfo* const> inputs,
                                        const ValueInfo& out) const = 0;
 };
 
@@ -49,7 +50,7 @@ class T4CostModel : public CostModel {
   T4CostModel() = default;
   explicit T4CostModel(const Params& params) : p_(params) {}
 
-  [[nodiscard]] double op_cost(const TNode& node, span<const ValueInfo> inputs,
+  [[nodiscard]] double op_cost(const TNode& node, span<const ValueInfo* const> inputs,
                                const ValueInfo& out) const override;
 
  private:
@@ -69,7 +70,7 @@ class MeasuredRuntimeModel : public CostModel {
         jitter_(jitter),
         seed_(seed) {}
 
-  [[nodiscard]] double op_cost(const TNode& node, span<const ValueInfo> inputs,
+  [[nodiscard]] double op_cost(const TNode& node, span<const ValueInfo* const> inputs,
                                const ValueInfo& out) const override;
 
  private:
@@ -83,7 +84,7 @@ class MeasuredRuntimeModel : public CostModel {
 /// noop, and any weight-only (precomputable) output; otherwise the model's
 /// operator cost.
 double node_cost(const CostModel& model, const TNode& node,
-                 span<const ValueInfo> inputs, const ValueInfo& out);
+                 span<const ValueInfo* const> inputs, const ValueInfo& out);
 
 /// Sum of node_cost over all nodes reachable from `g`'s roots (the paper's
 /// graph cost; hash-consing means shared subgraphs are counted once).

@@ -25,62 +25,90 @@ std::vector<Id> child_classes(const EGraph& eg, Id cls) {
 
 DescendantsMap::DescendantsMap(const EGraph& eg) {
   const std::vector<Id> classes = eg.canonical_classes();
-  const int n = static_cast<int>(classes.size());
-  index_.assign(eg.num_ids(), -1);
-  for (int i = 0; i < n; ++i) index_[classes[i]] = i;
-  words_ = (static_cast<size_t>(n) + 63) / 64;
-  bits_.assign(words_ * n, 0);
-
-  // Reverse-topological DP over the class graph: children first, then
-  // desc[c] = union over children (desc[child] | {child}). If the graph has
-  // a cycle (possible transiently), back edges contribute nothing — the map
-  // under-approximates, which is safe for a pre-filter (the post-processing
-  // pass catches what slips through).
-  std::vector<int8_t> state(n, 0);  // 0 unvisited, 1 visiting, 2 done
-  std::vector<std::pair<int, size_t>> stack;
-  std::vector<std::vector<int>> children(n);
-  for (int i = 0; i < n; ++i) {
-    for (Id c : child_classes(eg, classes[i])) children[i].push_back(index_[c]);
+  const size_t n = classes.size();
+  row_.assign(eg.num_ids(), -1);
+  for (size_t r = 0; r < n; ++r) row_[classes[r]] = static_cast<int32_t>(r);
+  offsets_.assign(n + 1, 0);
+  std::vector<int32_t> last_parent(n, -1);  // dedups a row's children
+  for (size_t r = 0; r < n; ++r) {
+    for (const EClassNode& e : eg.eclass(classes[r]).nodes) {
+      if (e.filtered) continue;
+      for (Id c : e.node.children) {
+        const int32_t k = row_[eg.find(c)];
+        if (last_parent[k] == static_cast<int32_t>(r)) continue;
+        last_parent[k] = static_cast<int32_t>(r);
+        targets_.push_back(k);
+      }
+    }
+    offsets_[r + 1] = static_cast<uint32_t>(targets_.size());
   }
-  for (int start = 0; start < n; ++start) {
-    if (state[start] != 0) continue;
-    stack.emplace_back(start, 0);
-    state[start] = 1;
+
+  // DFS post-order ranks: a row is ranked when its last child is done, so
+  // on an acyclic graph every child ranks below its parent. (On a cyclic
+  // one, a back edge is skipped like any visited child, and it is the one
+  // kind of edge that runs upward.)
+  constexpr int32_t kUnvisited = -1;
+  constexpr int32_t kOnStack = -2;
+  rank_.assign(n, kUnvisited);
+  std::vector<std::pair<int32_t, uint32_t>> stack;  // row, next child
+  int32_t next_rank = 0;
+  for (size_t start = 0; start < n; ++start) {
+    if (rank_[start] != kUnvisited) continue;
+    rank_[start] = kOnStack;
+    stack.emplace_back(static_cast<int32_t>(start), offsets_[start]);
     while (!stack.empty()) {
-      auto& [i, next] = stack.back();
-      if (next < children[i].size()) {
-        const int c = children[i][next++];
-        if (state[c] == 0) {
-          state[c] = 1;
-          stack.emplace_back(c, 0);
+      auto& [v, next] = stack.back();
+      if (next < offsets_[v + 1]) {
+        const int32_t c = targets_[next++];
+        if (rank_[c] == kUnvisited) {
+          rank_[c] = kOnStack;
+          stack.emplace_back(c, offsets_[c]);
         }
-        // state 1 = back edge (cycle): skip; state 2 = already folded below.
       } else {
-        for (int c : children[i]) {
-          if (state[c] != 2) continue;  // skip back edges
-          uint64_t* dst = &bits_[static_cast<size_t>(i) * words_];
-          const uint64_t* src = &bits_[static_cast<size_t>(c) * words_];
-          for (size_t w = 0; w < words_; ++w) dst[w] |= src[w];
-          dst[static_cast<size_t>(c) / 64] |= (1ull << (c % 64));
-        }
-        state[i] = 2;
+        rank_[v] = next_rank++;
         stack.pop_back();
       }
     }
   }
 }
 
-int32_t DescendantsMap::index_of(Id id) const {
-  return id >= 0 && static_cast<size_t>(id) < index_.size() ? index_[id] : -1;
+int32_t DescendantsMap::row_of(Id id) const {
+  return id >= 0 && static_cast<size_t>(id) < row_.size() ? row_[id] : -1;
 }
 
 bool DescendantsMap::reaches(Id from, Id to) const {
-  const int32_t f = index_of(from);
-  const int32_t t = index_of(to);
+  const int32_t f = row_of(from);
+  const int32_t t = row_of(to);
   if (f < 0 || t < 0) return false;
-  return (bits_[static_cast<size_t>(f) * words_ + static_cast<size_t>(t) / 64] >>
-          (t % 64)) &
-         1u;
+  // Edges of an acyclic snapshot run from higher ranks to lower ones.
+  const int32_t high = rank_[f];
+  const int32_t low = rank_[t];
+  if (low >= high) return false;
+  // Search the rows ranked in (low, high]: every path from `from` to `to`
+  // stays there. `seen` has one bit per rank of that window.
+  std::vector<uint64_t> seen((static_cast<size_t>(high - low) + 63) / 64, 0);
+  const auto first_visit = [&](int32_t rank) {
+    const auto bit = static_cast<size_t>(rank - low - 1);
+    const uint64_t mask = 1ull << (bit % 64);
+    if (seen[bit / 64] & mask) return false;
+    seen[bit / 64] |= mask;
+    return true;
+  };
+  std::vector<int32_t> stack{f};
+  first_visit(high);
+  while (!stack.empty()) {
+    const int32_t r = stack.back();
+    stack.pop_back();
+    for (uint32_t k = offsets_[r]; k < offsets_[r + 1]; ++k) {
+      const int32_t c = targets_[k];
+      if (c == t) return true;
+      // A child outside the window cannot lead to `to` on an acyclic
+      // snapshot (one ranked above `from` only exists behind a back edge).
+      const int32_t rank = rank_[c];
+      if (rank > low && rank <= high && first_visit(rank)) stack.push_back(c);
+    }
+  }
+  return false;
 }
 
 namespace {

@@ -1,26 +1,96 @@
 #include "egraph/egraph.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "support/check.h"
 
 namespace tensat {
+namespace {
+
+/// Folds a 64-bit hash to the 32 bits a table slot keeps. The high half of
+/// the product mixes every input bit, so the low bits that pick a slot are
+/// well spread.
+uint32_t fold32(uint64_t h) {
+  return static_cast<uint32_t>((h * 0x9e3779b97f4a7c15ull) >> 32);
+}
+
+uint32_t hash32(const TNode& node) { return fold32(TNodeHash{}(node)); }
+
+}  // namespace
+
+void EGraph::FlatTable::reset(size_t n) {
+  size_t slots = kMinSlots;
+  while (slots < 2 * n) slots *= 2;
+  slots_.assign(slots, Slot{});
+  mask_ = slots - 1;
+  size_ = 0;
+}
+
+template <typename Same>
+size_t EGraph::FlatTable::find(uint32_t hash, const Same& same) const {
+  for (size_t i = hash & mask_;; i = (i + 1) & mask_) {
+    const Slot& slot = slots_[i];
+    if (slot.id == kEmpty) return kNone;
+    if (slot.hash == hash && same(slot.id)) return i;
+  }
+}
+
+void EGraph::FlatTable::place(const Slot& entry) {
+  size_t i = entry.hash & mask_;
+  while (slots_[i].id != kEmpty) i = (i + 1) & mask_;
+  slots_[i] = entry;
+}
+
+void EGraph::FlatTable::insert(const Slot& entry) {
+  if (2 * (size_ + 1) > slots_.size()) {
+    std::vector<Slot> old(2 * slots_.size());
+    old.swap(slots_);
+    mask_ = slots_.size() - 1;
+    for (const Slot& slot : old)
+      if (slot.id != kEmpty) place(slot);
+  }
+  place(entry);
+  ++size_;
+}
+
+void EGraph::FlatTable::erase(size_t i) {
+  // Backward shift: walk the rest of the probe run and move back every
+  // entry whose home slot does not lie cyclically in (i, j], so no probe
+  // for it crosses the hole.
+  for (size_t j = (i + 1) & mask_; slots_[j].id != kEmpty; j = (j + 1) & mask_) {
+    const size_t home = slots_[j].hash & mask_;
+    const bool stays = i <= j ? (i < home && home <= j) : (i < home || home <= j);
+    if (stays) continue;
+    slots_[i] = slots_[j];
+    i = j;
+  }
+  slots_[i] = Slot{};
+  --size_;
+}
+
+size_t EGraph::FlatTable::count_occupied() const {
+  return static_cast<size_t>(std::count_if(
+      slots_.begin(), slots_.end(), [](const Slot& s) { return s.id != kEmpty; }));
+}
 
 TNode EGraph::canonicalize(TNode node) const {
   for (Id& c : node.children) c = find(c);
   return node;
 }
 
-std::optional<Id> EGraph::lookup(TNode node) const {
-  node = canonicalize(node);
-  const auto& sh = shard(node);
-  auto it = sh.find(node);
-  if (it == sh.end()) return std::nullopt;
-  return find(it->second.cls);
+size_t EGraph::find_key(const TNode& node, uint32_t hash) const {
+  return hashcons_.find(hash,
+                        [&](uint32_t enode) { return enode_keys_[enode].key == node; });
 }
 
-Id EGraph::insert_new_class(const TNode& node, ValueInfo data) {
+std::optional<Id> EGraph::lookup(TNode node) const {
+  node = canonicalize(node);
+  const size_t slot = find_key(node, hash32(node));
+  if (slot == FlatTable::kNone) return std::nullopt;
+  return find(hashcons_[slot].cls);
+}
+
+Id EGraph::insert_new_class(const TNode& node, uint32_t hash, ValueInfo data) {
   const Id id = uf_.make_set();
   TENSAT_CHECK(id == static_cast<Id>(classes_.size()), "class id mismatch");
   classes_.emplace_back();
@@ -32,17 +102,18 @@ Id EGraph::insert_new_class(const TNode& node, ValueInfo data) {
   cls.nodes.push_back(EClassNode{node, enode, false});
   op_index_[static_cast<size_t>(node.op)].push_back(id);
   for (Id c : node.children) classes_[find(c)].parents.push_back(enode);
-  shard(node).emplace(node, Interned{id, enode});
-  ++num_enodes_total_;
+  hashcons_.insert(FlatTable::Slot{enode, id, hash});
+  ++num_classes_;
+  ++num_stored_;
   ++version_;
   return id;
 }
 
 std::optional<Id> EGraph::try_add(TNode node) {
   node = canonicalize(node);
-  const auto& sh = shard(node);
-  auto it = sh.find(node);
-  if (it != sh.end()) return find(it->second.cls);
+  const uint32_t hash = hash32(node);
+  const size_t slot = find_key(node, hash);
+  if (slot != FlatTable::kNone) return find(hashcons_[slot].cls);
 
   // E-class analysis: infer the new node's data from its children's.
   const ValueInfo* inputs[kMaxArity];
@@ -50,15 +121,15 @@ std::optional<Id> EGraph::try_add(TNode node) {
     inputs[i] = &classes_[find(node.children[i])].data;
   auto data = infer(node, span<const ValueInfo* const>(inputs, node.children.size()));
   if (!data.has_value()) return std::nullopt;  // shape check failed
-  return insert_new_class(node, std::move(*data));
+  return insert_new_class(node, hash, std::move(*data));
 }
 
 Id EGraph::try_add_planned(TNode node, const ValueInfo& data) {
   node = canonicalize(node);
-  const auto& sh = shard(node);
-  auto it = sh.find(node);
-  if (it != sh.end()) return find(it->second.cls);
-  return insert_new_class(node, data);
+  const uint32_t hash = hash32(node);
+  const size_t slot = find_key(node, hash);
+  if (slot != FlatTable::kNone) return find(hashcons_[slot].cls);
+  return insert_new_class(node, hash, data);
 }
 
 Id EGraph::add(TNode node) {
@@ -117,6 +188,7 @@ bool EGraph::merge(Id a, Id b) {
   loser.parents.clear();
   loser.parents.shrink_to_fit();
   pending_.push_back(root);
+  --num_classes_;
   ++version_;
   return true;
 }
@@ -149,9 +221,10 @@ void EGraph::rebuild() {
   // read; the parallel pattern search depends on this (support/parallel.h).
   uf_.compress_all();
 #ifndef NDEBUG
-  size_t total = 0;
-  for (const auto& sh : hashcons_) total += sh.size();
-  TENSAT_CHECK(total == num_enodes_total_, "hash-cons size counter drifted");
+  TENSAT_CHECK(hashcons_.count_occupied() == hashcons_.size(),
+               "hash-cons size counter drifted");
+  TENSAT_CHECK(hashcons_.size() == num_stored_,
+               "hash-cons keys and stored e-nodes differ after rebuild");
 #endif
 }
 
@@ -168,65 +241,97 @@ void EGraph::repair(Id id) {
   EClass& cls = classes_[id];
 
   // Re-intern parents under their canonical forms; congruent parents merge.
+  // merge() adds no e-node, so `entry` stays valid across the loop body.
   const std::vector<uint32_t> parents = std::move(cls.parents);
   cls.parents.clear();
-  repaired_forms_.clear();
+  repaired_.clear();
   for (uint32_t p : parents) {
     const uint32_t owner = key_owner(p);
     ENodeKey& entry = enode_keys_[owner];
-    // Drop the key the parent sits under. Canonicalization never changes the
-    // op, so the old and canonical forms live in one shard.
-    auto& sh = shard(entry.key);
-    num_enodes_total_ -= sh.erase(entry.key);
+    const size_t slot = hashcons_.find(hash32(entry.key),
+                                       [owner](uint32_t e) { return e == owner; });
     const TNode form = canonicalize(entry.key);
-    repaired_forms_.push_back(form);
-    auto it = sh.find(form);
-    if (it != sh.end()) {
+    if (form == entry.key) {
+      // Still canonical: erasing and re-interning it would find nothing
+      // else under this key and put it back where it was.
+      hashcons_[slot].cls = find(entry.cls);
+      repaired_.push_back(Repaired{owner, form});
+      continue;
+    }
+    hashcons_.erase(slot);
+    const uint32_t hash = hash32(form);
+    const size_t found = find_key(form, hash);
+    if (found != FlatTable::kNone) {
+      FlatTable::Slot& other = hashcons_[found];
       // No merge means the two congruent e-nodes are already in one class.
-      if (!merge(entry.cls, it->second.cls)) congruent_.push_back(entry.cls);
-      it->second.cls = find(entry.cls);
-      entry.forward = it->second.enode;  // share the key found
+      if (!merge(entry.cls, other.cls)) congruent_.push_back(entry.cls);
+      other.cls = find(entry.cls);
+      entry.forward = other.id;  // share the key found
+      repaired_.push_back(Repaired{other.id, form});
     } else {
       entry.key = form;
-      sh.emplace(form, Interned{find(entry.cls), owner});
-      ++num_enodes_total_;
+      hashcons_.insert(FlatTable::Slot{owner, find(entry.cls), hash});
+      repaired_.push_back(Repaired{owner, form});
     }
   }
   // Deduplicate the repaired parent list: keep the first parent of each
-  // canonical form, in list order.
-  std::unordered_set<TNode, TNodeHash> seen;
+  // canonical form, in list order. Two entries of one form were given the
+  // same owner, so the scratch index is keyed by owner. One owner can be
+  // given two forms, though: a merge in the loop above can make its key
+  // stale between two visits (a parent listed twice), and the second visit
+  // re-keys it. An owner's forms only ever move on, never back, so an entry
+  // repeats an earlier one exactly when the owner's latest earlier entry
+  // has the same form.
   EClass& cls2 = classes_[find(id)];  // `merge` above may have moved us
-  for (size_t i = 0; i < parents.size(); ++i)
-    if (seen.insert(repaired_forms_[i]).second) cls2.parents.push_back(parents[i]);
+  scratch_.reset(parents.size());
+  for (size_t i = 0; i < parents.size(); ++i) {
+    const Repaired& r = repaired_[i];
+    const uint32_t hash = fold32(r.owner);
+    const size_t seen = scratch_.find(
+        hash, [&](uint32_t j) { return repaired_[j].owner == r.owner; });
+    if (seen == FlatTable::kNone) {
+      scratch_.insert(FlatTable::Slot{static_cast<uint32_t>(i), kInvalidId, hash});
+    } else if (!(repaired_[scratch_[seen].id].form == r.form)) {
+      scratch_[seen].id = static_cast<uint32_t>(i);
+    } else {
+      continue;
+    }
+    cls2.parents.push_back(parents[i]);
+  }
 
   dedup_nodes(find(id));  // `merge` above may have moved us
 }
 
 void EGraph::dedup_nodes(Id id) {
-  // Canonicalize and deduplicate the class's own nodes. Duplicates keep the
-  // earliest stamp; a node is filtered if any duplicate was (the filter list
-  // identifies nodes structurally).
-  EClass& cls = classes_[id];
-  std::unordered_map<TNode, size_t, TNodeHash> index;
-  std::vector<EClassNode> nodes;
-  nodes.reserve(cls.nodes.size());
-  for (EClassNode& entry : cls.nodes) {
+  // Canonicalize and deduplicate the class's own nodes in place, keeping
+  // the first of each canonical form. Duplicates keep the earliest stamp; a
+  // node is filtered if any duplicate was (the filter list identifies nodes
+  // structurally).
+  std::vector<EClassNode>& nodes = classes_[id].nodes;
+  scratch_.reset(nodes.size());
+  size_t kept = 0;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    EClassNode entry = nodes[i];
     entry.node = canonicalize(entry.node);
-    auto it = index.find(entry.node);
-    if (it == index.end()) {
-      index.emplace(entry.node, nodes.size());
-      nodes.push_back(std::move(entry));
-    } else {
-      EClassNode& kept = nodes[it->second];
-      kept.stamp = std::min(kept.stamp, entry.stamp);
-      if (entry.filtered && !kept.filtered) {
-        kept.filtered = true;
-      } else if (entry.filtered) {
-        --num_filtered_;  // collapsed two filtered copies into one
-      }
+    const uint32_t hash = hash32(entry.node);
+    const size_t seen = scratch_.find(
+        hash, [&](uint32_t k) { return nodes[k].node == entry.node; });
+    if (seen == FlatTable::kNone) {
+      scratch_.insert(FlatTable::Slot{static_cast<uint32_t>(kept), kInvalidId, hash});
+      nodes[kept++] = entry;
+      continue;
     }
+    EClassNode& into = nodes[scratch_[seen].id];
+    into.stamp = std::min(into.stamp, entry.stamp);
+    if (entry.filtered && !into.filtered) {
+      into.filtered = true;
+    } else if (entry.filtered) {
+      --num_filtered_;  // collapsed two filtered copies into one
+    }
+    --num_stored_;
   }
-  cls.nodes = std::move(nodes);
+  nodes.resize(kept);
+  nodes.shrink_to_fit();  // merge()'s appends leave up to 2x slack
 }
 
 std::vector<Id> EGraph::canonical_classes() const {
@@ -255,23 +360,6 @@ const std::vector<Id>& EGraph::classes_with_op(Op op) const {
     cache.version = version_;
   }
   return cache.ids;
-}
-
-size_t EGraph::num_classes() const {
-  size_t n = 0;
-  for (Id id = 0; id < static_cast<Id>(classes_.size()); ++id)
-    if (find(id) == id) ++n;
-  return n;
-}
-
-size_t EGraph::num_enodes() const {
-  size_t n = 0;
-  for (Id id = 0; id < static_cast<Id>(classes_.size()); ++id) {
-    if (find(id) != id) continue;
-    for (const EClassNode& e : classes_[id].nodes)
-      if (!e.filtered) ++n;
-  }
-  return n;
 }
 
 std::optional<Id> NodeBuffer::stage(TNode node) {

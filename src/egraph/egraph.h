@@ -14,7 +14,9 @@
 // the e-graph copies them without allocating. Each e-node is known by an id,
 // its insertion stamp: parent lists hold these ids, and the e-graph keeps
 // per id the key under which the e-node sits in the hash-cons, which is
-// what rebuild() erases and re-interns.
+// what rebuild() erases and re-interns. The hash-cons itself is one flat
+// open-addressing table of e-node ids (FlatTable): a slot holds an id, a
+// class and a 32-bit hash, and the key is read from the id's entry.
 #pragma once
 
 #include <array>
@@ -131,13 +133,16 @@ class EGraph {
   /// stays valid until the next non-const e-graph operation.
   [[nodiscard]] const std::vector<Id>& classes_with_op(Op op) const;
 
-  /// Number of canonical e-classes.
-  [[nodiscard]] size_t num_classes() const;
-  /// Number of e-nodes, excluding filtered ones.
-  [[nodiscard]] size_t num_enodes() const;
-  /// Number of e-nodes including filtered ones (the paper's e-graph size).
-  /// A maintained counter (the hash-cons is split into one map per op).
-  [[nodiscard]] size_t num_enodes_total() const { return num_enodes_total_; }
+  /// Number of canonical e-classes (a counter: +1 per new class, -1 per
+  /// real merge).
+  [[nodiscard]] size_t num_classes() const { return num_classes_; }
+  /// Number of e-nodes stored in canonical classes, excluding filtered ones
+  /// (a counter: +1 per insert, -1 per duplicate a rebuild drops).
+  [[nodiscard]] size_t num_enodes() const { return num_stored_ - num_filtered_; }
+  /// Number of e-nodes including filtered ones (the paper's e-graph size):
+  /// the number of keys in the hash-cons, which equals the stored e-nodes
+  /// on a rebuilt e-graph.
+  [[nodiscard]] size_t num_enodes_total() const { return hashcons_.size(); }
 
   /// Marks an e-node of `class_id` as filtered (adds it to the filter list).
   /// `index` addresses eclass(class_id).nodes.
@@ -169,14 +174,52 @@ class EGraph {
     Id cls{kInvalidId};
     uint32_t forward{0};
   };
-  /// A hash-cons value: the class holding the key (canonical once found)
-  /// and the e-node that owns the key.
-  struct Interned {
-    Id cls{kInvalidId};
-    uint32_t enode{0};
-  };
-  using HashconsShard = std::unordered_map<TNode, Interned, TNodeHash>;
 
+  /// An open-addressing table of ids: linear probing over a power-of-two
+  /// number of slots, kept at most half full. Each slot holds an id, a class
+  /// and the 32-bit hash of the id's key; the key lives outside the table
+  /// and find() compares it, through the caller's predicate, only after the
+  /// hashes match. erase() shifts the rest of the probe run back instead of
+  /// leaving a tombstone, so erase-and-reinsert churn never lengthens runs.
+  /// The hash-cons is one (ids are key owners, see ENodeKey); rebuild()'s
+  /// deduplication passes reuse a second one as scratch.
+  class FlatTable {
+   public:
+    static constexpr uint32_t kEmpty = UINT32_MAX;
+    static constexpr size_t kNone = SIZE_MAX;
+    struct Slot {
+      uint32_t id{kEmpty};
+      Id cls{kInvalidId};
+      uint32_t hash{0};
+    };
+
+    [[nodiscard]] size_t size() const { return size_; }
+    /// Empties the table and sizes it to take `n` entries without growing.
+    void reset(size_t n);
+    /// Index of the slot hashed `hash` whose id satisfies `same(id)`, or
+    /// kNone. A pure read.
+    template <typename Same>
+    [[nodiscard]] size_t find(uint32_t hash, const Same& same) const;
+    Slot& operator[](size_t i) { return slots_[i]; }
+    const Slot& operator[](size_t i) const { return slots_[i]; }
+    /// Adds an entry whose key is absent; doubles the table first if the
+    /// entry would make it more than half full.
+    void insert(const Slot& entry);
+    /// Removes the entry at slot `i` (an index find() returned).
+    void erase(size_t i);
+    /// Occupied slots, counted by walking the table (for debug checks).
+    [[nodiscard]] size_t count_occupied() const;
+
+   private:
+    static constexpr size_t kMinSlots = 16;
+    void place(const Slot& entry);
+    std::vector<Slot> slots_ = std::vector<Slot>(kMinSlots);
+    size_t mask_ = kMinSlots - 1;
+    size_t size_ = 0;
+  };
+
+  /// The hash-cons slot of `node` (canonical), or FlatTable::kNone.
+  [[nodiscard]] size_t find_key(const TNode& node, uint32_t hash) const;
   /// The e-node whose key `enode` shares (path-halving walk of `forward`).
   uint32_t key_owner(uint32_t enode);
   void repair(Id id);
@@ -185,16 +228,9 @@ class EGraph {
   void dedup_nodes(Id id);
   static void join_data(ValueInfo& into, const ValueInfo& from);
   /// Creates a brand-new singleton class for `node` (already canonical and
-  /// known absent from the hash-cons) carrying `data`. The shared tail of
-  /// try_add / try_add_planned.
-  Id insert_new_class(const TNode& node, ValueInfo data);
-  /// The hash-cons map holding `node`: the one for its op symbol.
-  HashconsShard& shard(const TNode& node) {
-    return hashcons_[static_cast<size_t>(node.op)];
-  }
-  [[nodiscard]] const HashconsShard& shard(const TNode& node) const {
-    return hashcons_[static_cast<size_t>(node.op)];
-  }
+  /// known absent from the hash-cons, whose hash is `hash`) carrying
+  /// `data`. The shared tail of try_add / try_add_planned.
+  Id insert_new_class(const TNode& node, uint32_t hash, ValueInfo data);
 
   /// classes_with_op's dirty-path memo: the canonicalized bucket for one op,
   /// valid while the e-graph stays at `version`.
@@ -210,23 +246,29 @@ class EGraph {
   mutable std::vector<OpCacheEntry> op_cache_;
   // Deque: eclass()/data() references must survive later try_add() appends.
   std::deque<EClass> classes_;
-  // Hash-cons, split into one map per op symbol. Canonicalization never
-  // changes a node's op, so a node's map never changes; callers treat the
-  // maps as one logical map through shard(). num_enodes_total_ tracks the
-  // summed size. Every key is owned by exactly one e-node (the one that
-  // does not forward), so repairs never leave a key behind.
-  std::vector<HashconsShard> hashcons_{static_cast<size_t>(Op::kOpCount)};
-  size_t num_enodes_total_{0};
+  // The hash-cons: one slot per key, holding the id of the e-node that owns
+  // the key (the one that does not forward; every key has exactly one, so
+  // repairs never leave a key behind) and the class holding it (canonical
+  // once found).
+  FlatTable hashcons_;
   /// One entry per e-node ever inserted, indexed by e-node id (= stamp).
   std::vector<ENodeKey> enode_keys_;
-  /// repair()'s scratch: the canonical form each parent entry was
-  /// re-interned under, parallel to the parent list being repaired.
-  std::vector<TNode> repaired_forms_;
+  /// One per entry of the parent list being repaired: the e-node owning the
+  /// key the entry was re-interned under, and that key.
+  struct Repaired {
+    uint32_t owner;
+    TNode form;
+  };
+  std::vector<Repaired> repaired_;
+  /// Scratch index for repair()'s and dedup_nodes()' duplicate checks.
+  FlatTable scratch_;
   std::vector<Id> pending_;
   /// Classes in which repair() found two e-nodes of the class congruent;
   /// rebuild() deduplicates them after its repair loop.
   std::vector<Id> congruent_;
   uint64_t version_{0};
+  size_t num_classes_{0};
+  size_t num_stored_{0};
   size_t num_filtered_{0};
   Id root_{kInvalidId};
 };

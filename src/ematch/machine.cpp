@@ -197,17 +197,10 @@ MatchRows search_joint(const EGraph& eg, const Program& prog,
 
 size_t search_work_estimate(const EGraph& eg,
                             const std::vector<const Program*>& progs) {
-  // num_classes() walks every id; compute it once, only if some program
-  // actually scans all classes.
-  size_t all_classes = 0;
-  bool all_classes_known = false;
+  // A program rooted at a leaf op scans every class (num_classes() is a
+  // counter); any other scans its op's bucket.
   const auto candidates_for = [&](Op op) {
-    if (!op_is_leaf(op)) return eg.classes_with_op(op).size();
-    if (!all_classes_known) {
-      all_classes = eg.num_classes();
-      all_classes_known = true;
-    }
-    return all_classes;
+    return op_is_leaf(op) ? eg.num_classes() : eg.classes_with_op(op).size();
   };
   size_t work = 0;
   for (const Program* prog : progs) {

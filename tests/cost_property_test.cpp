@@ -16,8 +16,8 @@ const T4CostModel& model() {
 }
 
 double cost_of(const Graph& g, Id id) {
-  std::vector<ValueInfo> inputs;
-  for (Id c : g.node(id).children) inputs.push_back(g.info(c));
+  std::vector<const ValueInfo*> inputs;
+  for (Id c : g.node(id).children) inputs.push_back(&g.info(c));
   return node_cost(model(), g.node(id), inputs, g.info(id));
 }
 

@@ -12,8 +12,8 @@ const T4CostModel& model() {
 }
 
 double cost_of(const Graph& g, Id id) {
-  std::vector<ValueInfo> inputs;
-  for (Id c : g.node(id).children) inputs.push_back(g.info(c));
+  std::vector<const ValueInfo*> inputs;
+  for (Id c : g.node(id).children) inputs.push_back(&g.info(c));
   return node_cost(model(), g.node(id), inputs, g.info(id));
 }
 
@@ -124,7 +124,7 @@ TEST(Cost, MeasuredRuntimePenalizesMovement) {
   const Id a = g.input("a", {64, 64});
   const Id b = g.input("b", {64, 64});
   const Id cat = g.concat(1, {a, b});
-  std::vector<ValueInfo> inputs = {g.info(g.num(1)), g.info(a), g.info(b)};
+  std::vector<const ValueInfo*> inputs = {&g.info(g.num(1)), &g.info(a), &g.info(b)};
   const double analytic = model().op_cost(g.node(cat), inputs, g.info(cat));
   const double measured = runtime.op_cost(g.node(cat), inputs, g.info(cat));
   EXPECT_GT(measured, analytic * 1.4);

@@ -4,6 +4,8 @@
 //  * no canonical e-node is stored in two classes, or twice in one class;
 //  * lookup() of every stored e-node's canonical form returns its class;
 //  * the stored e-nodes, filtered ones included, number num_enodes_total();
+//  * the counters num_classes() and num_enodes() equal the walks they
+//    replace (canonical classes; stored e-nodes that are not filtered);
 //  * after the cycle sweep, the class graph over unfiltered e-nodes is
 //    acyclic (checked unless `acyclic` is false).
 //
@@ -16,6 +18,7 @@
 #include <sstream>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "cycles/cycles.h"
 #include "egraph/egraph.h"
@@ -35,11 +38,14 @@ inline std::string egraph_invariant_violations(const EGraph& eg,
     return n.str();
   };
   size_t stored = 0;
+  size_t unfiltered = 0;
   size_t reported = 0;
   std::unordered_map<TNode, Id, TNodeHash> owner;  // canonical e-node -> class
-  for (Id cls : eg.canonical_classes()) {
+  const std::vector<Id> classes = eg.canonical_classes();
+  for (Id cls : classes) {
     for (const EClassNode& e : eg.eclass(cls).nodes) {
       ++stored;
+      if (!e.filtered) ++unfiltered;
       const TNode node = eg.canonicalize(e.node);
       const auto [it, fresh] = owner.emplace(node, cls);
       const std::optional<Id> found = eg.lookup(node);
@@ -63,6 +69,12 @@ inline std::string egraph_invariant_violations(const EGraph& eg,
   if (stored != eg.num_enodes_total())
     out << stored << " e-nodes stored, " << eg.num_enodes_total()
         << " in the hash-cons\n";
+  if (classes.size() != eg.num_classes())
+    out << classes.size() << " canonical classes, num_classes() "
+        << eg.num_classes() << "\n";
+  if (unfiltered != eg.num_enodes())
+    out << unfiltered << " unfiltered e-nodes stored, num_enodes() "
+        << eg.num_enodes() << "\n";
   if (acyclic && !is_acyclic(eg)) out << "a cycle over unfiltered e-nodes\n";
   return out.str();
 }

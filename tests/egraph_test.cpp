@@ -5,6 +5,7 @@
 #include "lang/parse.h"
 #include "support/check.h"
 #include "support/rng.h"
+#include "tests/egraph_invariants.h"
 
 namespace tensat {
 namespace {
@@ -291,6 +292,89 @@ TEST(EGraph, NumClassesTracksMerges) {
   eg.merge(mapping.at(r), mapping.at(t));
   eg.rebuild();
   EXPECT_EQ(eg.num_classes(), before - 1);
+}
+
+TEST(EGraph, HashconsExactThroughGrowthAndRepairs) {
+  // Seeded churn: thousands of adds grow the hash-cons table from its
+  // smallest size through many doublings, and hundreds of merges make each
+  // rebuild() erase stale keys, many from inside probe runs, and re-intern
+  // them. After every rebuild the table must hold exactly one key per
+  // stored e-node, each found by lookup(), and the size counters must
+  // match the walks they replace.
+  Rng rng(2027);
+  Graph g;
+  for (int i = 0; i < 6; ++i) g.add_root(g.input("x" + std::to_string(i), {4, 4}));
+  EGraph eg;
+  eg.add_graph(g);
+  std::vector<Id> tensors;  // every {4,4} tensor class made, possibly stale
+  for (Id cls : eg.canonical_classes())
+    if (eg.data(cls).kind == VKind::kTensor) tensors.push_back(cls);
+  const Op unary[] = {Op::kRelu, Op::kTanh, Op::kSigmoid};
+  const Op binary[] = {Op::kEwadd, Op::kEwmul};
+  size_t added = 0;
+  size_t merges = 0;
+  for (int round = 0; round < 60; ++round) {
+    for (int i = 0; i < 100; ++i) {
+      const Id a = tensors[rng.below(tensors.size())];
+      const Id b = tensors[rng.below(tensors.size())];
+      const TNode node = rng.below(2) == 0 ? TNode{unary[rng.below(3)], 0, {}, {a}}
+                                           : TNode{binary[rng.below(2)], 0, {}, {a, b}};
+      const size_t keys = eg.num_enodes_total();
+      const Id cls = eg.add(node);
+      if (eg.num_enodes_total() > keys) {
+        ++added;
+        tensors.push_back(cls);
+      }
+      ASSERT_EQ(eg.lookup(node), std::optional<Id>(eg.find(cls)));
+    }
+    for (int m = 0; m < 8; ++m) {
+      if (eg.merge(tensors[rng.below(tensors.size())],
+                   tensors[rng.below(tensors.size())]))
+        ++merges;
+    }
+    const Id victim = eg.find(tensors[rng.below(tensors.size())]);
+    eg.set_filtered(victim, rng.below(eg.eclass(victim).nodes.size()));
+    eg.rebuild();
+    ASSERT_EQ(egraph_invariant_violations(eg, /*acyclic=*/false), "")
+        << "after round " << round;
+  }
+  EXPECT_GE(added, 5000u);
+  EXPECT_GE(merges, 300u);
+}
+
+TEST(EGraph, ParentListedTwiceIsRekeyedAcrossAMerge) {
+  // cat = concat3(1, a, b, ra) sits twice in the parent list of a's and
+  // b's merged class. Between its two visits in one repair, relu(b) turns
+  // out congruent to relu(a), and that merge takes ra's class into the
+  // larger class of relu(b), so the second visit re-keys cat under a newer
+  // form. The repaired list keeps one parent per form, and the rebuilt
+  // e-graph keeps every invariant.
+  Graph g;
+  const Id a = g.input("a", {2, 2});
+  const Id b = g.input("b", {2, 2});
+  const Id ra = g.relu(a);
+  const Id rb = g.relu(b);
+  const Id tb = g.tanh(b);
+  const Id cat = g.concat(1, {a, b, ra});
+  for (Id root : {rb, tb, cat}) g.add_root(root);
+  EGraph eg;
+  const auto m = eg.add_graph(g);
+  const auto enode_id = [&](Id gid) { return eg.eclass(m.at(gid)).nodes.at(0).stamp; };
+  const uint32_t ra_id = enode_id(ra);
+  const uint32_t tb_id = enode_id(tb);
+  const uint32_t cat_id = enode_id(cat);
+  eg.merge(m.at(rb), m.at(tb));  // relu(b)'s class outgrows relu(a)'s
+  eg.rebuild();
+  eg.merge(m.at(a), m.at(b));
+  eg.rebuild();
+  ASSERT_EQ(eg.find(m.at(ra)), eg.find(m.at(rb)));
+  EXPECT_EQ(egraph_invariant_violations(eg), "");
+  // relu(b) repeats relu(a)'s form and is dropped; cat's two entries were
+  // re-interned under two forms, so both stay.
+  EXPECT_EQ(eg.eclass(m.at(a)).parents,
+            (std::vector<uint32_t>{ra_id, cat_id, tb_id, cat_id}));
+  EXPECT_EQ(eg.lookup(TNode{Op::kConcat3, 0, {}, {m.at(g.num(1)), m.at(a), m.at(a), m.at(rb)}}),
+            std::optional<Id>(eg.find(m.at(cat))));
 }
 
 }  // namespace

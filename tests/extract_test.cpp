@@ -30,7 +30,7 @@ class FixedCostModel : public CostModel {
  public:
   explicit FixedCostModel(std::unordered_map<Op, double> costs)
       : costs_(std::move(costs)) {}
-  [[nodiscard]] double op_cost(const TNode& node, span<const ValueInfo>,
+  [[nodiscard]] double op_cost(const TNode& node, span<const ValueInfo* const>,
                                const ValueInfo&) const override {
     auto it = costs_.find(node.op);
     return it == costs_.end() ? 0.0 : it->second;
@@ -599,8 +599,8 @@ double tree_cost(const Graph& g, const CostModel& m) {
   std::vector<double> cost(g.size(), 0.0);
   for (Id id : g.topo_order()) {
     const TNode& n = g.node(id);
-    std::vector<ValueInfo> inputs;
-    for (Id c : n.children) inputs.push_back(g.info(c));
+    std::vector<const ValueInfo*> inputs;
+    for (Id c : n.children) inputs.push_back(&g.info(c));
     cost[id] = node_cost(m, n, inputs, g.info(id));
     for (Id c : n.children) cost[id] += cost[c];
   }
