@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
                                                                : "iter-limit",
               result.extract_seconds, summary.events, out_path.c_str());
   trace::print_explore_phases(stdout, result.explore, "explore phases");
-  trace::print_extract_phases(stdout, result.extract_stats, "extract phases");
+  trace::print_extract_phases(stdout, result.ilp.stats, "extract phases");
 
   std::printf("\nper-iteration e-graph growth:\n");
   trace::print_growth_timeline(stdout, result.explore);

@@ -42,7 +42,7 @@ int main() {
               tensat.optimized_cost, tensat_timer.seconds(),
               tensat.explore.seconds, tensat.extract_seconds);
   trace::print_explore_phases(stdout, tensat.explore, "        explore phases");
-  trace::print_extract_phases(stdout, tensat.extract_stats,
+  trace::print_extract_phases(stdout, tensat.ilp.stats,
                               "        extract phases");
 
   std::printf("\nspeedup over original: TASO %.1f%%, TENSAT %.1f%%\n",

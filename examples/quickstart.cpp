@@ -44,7 +44,7 @@ int main() {
               result.explore.eclasses,
               result.explore.stop == StopReason::kSaturated ? "saturated" : "limit");
   trace::print_explore_phases(stdout, result.explore, "phase times   ");
-  trace::print_extract_phases(stdout, result.extract_stats, "extraction    ");
+  trace::print_extract_phases(stdout, result.ilp.stats, "extraction    ");
   std::printf("\noptimized graph (root expression):\n%s\n",
               result.optimized.to_sexpr(result.optimized.roots()[0]).c_str());
   return 0;

@@ -3,8 +3,6 @@
 #include <cstdint>
 #include <unordered_map>
 
-#include "trace/trace.h"
-
 namespace tensat::ematch {
 namespace {
 
@@ -163,9 +161,6 @@ VM make_vm(const EGraph& eg, const Program& prog, const MatchLimits& limits) {
 }  // namespace
 
 MatchRows search(const EGraph& eg, const Program& prog, const MatchLimits& limits) {
-  // One span per pattern sweep, on whichever lane runs it — the per-thread
-  // occupancy view of the parallel search phase.
-  const trace::ScopedSpan span("ematch/search");
   VM vm = make_vm(eg, prog, limits);
   MatchRows rows;
   rows.width = vm.row_regs.size();
@@ -187,7 +182,6 @@ MatchRows search(const EGraph& eg, const Program& prog, const MatchLimits& limit
 
 MatchRows search_joint(const EGraph& eg, const Program& prog,
                        const MatchLimits& limits) {
-  const trace::ScopedSpan span("ematch/search_joint");
   VM vm = make_vm(eg, prog, limits);
   MatchRows rows;
   rows.width = vm.row_regs.size();

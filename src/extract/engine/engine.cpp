@@ -190,25 +190,23 @@ std::optional<std::vector<double>> closure_to_x(
 EngineExtractionResult extract_engine(const EGraph& eg, const CostModel& model,
                                       const ExtractEngineOptions& options) {
   EngineExtractionResult result;
-  Timer timer;
 
-  // Phase laps: one clock read per phase boundary ends one phase and starts
-  // the next, and that reading feeds both the phase span and its stats
-  // field (the tracer's clock when one is installed, `timer` otherwise).
-  // Explicit records, not ScopedSpans, because the phases share this scope
-  // and several exit early. The per-core spans below live on the solver
-  // workers' own lanes.
-  const trace::ScopedSpan extract_span("extract");
+  // Phase laps: one reading of `timer`'s clock per phase boundary ends one
+  // phase and starts the next, and the lap feeds both the phase's stats
+  // field and, with a tracer installed, its span. Explicit records, not
+  // ScopedSpans, because the phases share this scope and several exit
+  // early. The same clock bounds the core solves; the per-core spans below
+  // live on the solver workers' own lanes.
+  const Timer timer;
   trace::Tracer* const tracer = trace::Tracer::current();
-  const auto now_us = [&] {
-    return tracer != nullptr ? tracer->now_us() : timer.seconds() * 1e6;
-  };
-  double phase_start_us = now_us();
+  Timer::Clock::time_point phase_start = timer.start();
   const auto phase_mark = [&](const char* name, double& seconds) {
-    const double now = now_us();
-    if (tracer != nullptr) tracer->record_span(name, phase_start_us, now);
-    seconds += (now - phase_start_us) * 1e-6;
-    phase_start_us = now;
+    const Timer::Clock::time_point now = Timer::Clock::now();
+    const double lap = Timer::seconds_between(phase_start, now);
+    if (tracer != nullptr)
+      tracer->record_span(name, tracer->us_at(phase_start), lap * 1e6);
+    seconds += lap;
+    phase_start = now;
   };
 
   // ---- Reach: flatten the reachable sub-e-graph --------------------------
@@ -233,7 +231,6 @@ EngineExtractionResult extract_engine(const EGraph& eg, const CostModel& model,
   // ---- Reduce + condense + collapse --------------------------------------
   if (p.classes[p.root].dp_cost == kInfCost) {
     result.milp_status = MilpStatus::kInfeasible;
-    result.solve_seconds = timer.seconds();
     return result;
   }
   exteng::condense_sccs(p);  // cyclic flags gate forced removal
@@ -248,7 +245,6 @@ EngineExtractionResult extract_engine(const EGraph& eg, const CostModel& model,
   if (rstats.infeasible) {
     phase_mark("extract/reduce", result.stats.reduce_seconds);
     result.milp_status = MilpStatus::kInfeasible;
-    result.solve_seconds = timer.seconds();
     return result;
   }
   exteng::condense_sccs(p);  // final SCCs of the reduced graph
@@ -304,9 +300,7 @@ EngineExtractionResult extract_engine(const EGraph& eg, const CostModel& model,
   }
   result.stats.num_cores = num_components;
   result.stats.milp_vars_total = vars_total;
-  result.num_vars = vars_total;
 
-  size_t rows_total = 0;
   for (Core& core : cores) {
     // Decision variables: one per live option, or one per collapsed
     // pseudo-leaf (priced at its exact incremental DP cost).
@@ -417,7 +411,6 @@ EngineExtractionResult extract_engine(const EGraph& eg, const CostModel& model,
         core.lp.add_row(std::move(terms), -kInf, 0.0);
       }
     }
-    rows_total += core.lp.rows.size();
 
     // Warm start: the DP (greedy) selection restricted to this core.
     auto choose_dp = [&](uint32_t s) { return dp_choice_var(p, core, s); };
@@ -425,7 +418,6 @@ EngineExtractionResult extract_engine(const EGraph& eg, const CostModel& model,
                           options.integer_topo_vars, scc_size, choose_dp);
     if (x && core.lp.feasible(*x, 1e-6)) core.warm = std::move(x);
   }
-  result.num_rows = rows_total;
   phase_mark("extract/build", result.stats.lp_build_seconds);
 
   // ---- Solve the cores in parallel, merge in core order ------------------
@@ -699,26 +691,7 @@ EngineExtractionResult extract_engine(const EGraph& eg, const CostModel& model,
       }
     }
   }
-  auto graph = build_selected_graph(eg, eg.root(), selection);
-  if (!graph.has_value()) {
-    result.cyclic_selection = true;
-    phase_mark("extract/stitch", result.stats.stitch_seconds);
-    if (greedy.ok) {  // best known feasible solution, as in the monolithic
-      result.graph = std::move(greedy.graph);
-      result.cost = greedy.cost;
-      result.ok = true;
-      result.stats.gap =
-          std::max(0.0, (result.cost - result.best_bound) /
-                            std::max(std::abs(result.cost), 1e-12));
-    }
-    return result;
-  }
-  result.graph = std::move(*graph);
-  result.graph.single_root();
-  result.cost = graph_cost(result.graph, model);
-  result.ok = true;
-  result.stats.gap = std::max(0.0, (result.cost - result.best_bound) /
-                                       std::max(std::abs(result.cost), 1e-12));
+  stitch_selection(eg, model, selection, std::move(greedy), result);
   phase_mark("extract/stitch", result.stats.stitch_seconds);
   return result;
 }

@@ -1,10 +1,10 @@
 #include "extract/extract.h"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 #include <limits>
 #include <map>
+#include <optional>
 #include <queue>
 
 #include "support/check.h"
@@ -151,26 +151,15 @@ std::unordered_map<Id, TNode> greedy_selection(const EGraph& eg, const CostModel
   return result;
 }
 
-/// The greedy graph of a greedy_selection, or !ok when the root has no
-/// finite choice or the selection does not build.
-ExtractionResult greedy_result(const EGraph& eg, const CostModel& model,
-                               const std::unordered_map<Id, TNode>& selection) {
+/// The concrete graph a per-class e-node choice builds from the root class,
+/// with its cost. !ok if the selection is cyclic or incomplete, or if a
+/// selected e-node fails the concrete shape check of Graph::try_add, which
+/// also sets `*unbuildable` (see IlpExtractionResult::unbuildable_selection).
+ExtractionResult selected_graph(const EGraph& eg, const CostModel& model,
+                                const std::unordered_map<Id, TNode>& selection,
+                                bool* unbuildable = nullptr) {
   ExtractionResult result;
   const Id root = eg.root();
-  if (!selection.count(root)) return result;  // no finite extraction
-  auto graph = build_selected_graph(eg, root, selection);
-  if (!graph.has_value()) return result;
-  result.graph = std::move(*graph);
-  result.graph.single_root();
-  result.cost = graph_cost(result.graph, model);
-  result.ok = true;
-  return result;
-}
-
-}  // namespace
-
-std::optional<Graph> build_selected_graph(
-    const EGraph& eg, Id root, const std::unordered_map<Id, TNode>& selection) {
   Graph out;
   // Canonical ids are dense in [0, num_ids()): flat arrays replace the old
   // hash-map seen-sets (built: class -> node id in `out`; on_stack guards
@@ -183,17 +172,17 @@ std::optional<Graph> build_selected_graph(
     Id cls;
     size_t next_child{0};
   };
-  std::vector<Frame> stack{{eg.find(root)}};
-  on_stack[eg.find(root)] = 1;
+  std::vector<Frame> stack{{root}};
+  on_stack[root] = 1;
   while (!stack.empty()) {
     Frame& f = stack.back();
     auto sel = selection.find(f.cls);
-    if (sel == selection.end()) return std::nullopt;  // incomplete selection
+    if (sel == selection.end()) return result;  // incomplete selection
     const TNode& node = sel->second;
     if (f.next_child < node.children.size()) {
       const Id child = eg.find(node.children[f.next_child++]);
       if (built[child] != kInvalidId) continue;
-      if (on_stack[child]) return std::nullopt;  // cyclic selection
+      if (on_stack[child]) return result;  // cyclic selection
       on_stack[child] = 1;
       stack.push_back(Frame{child});
       continue;
@@ -201,27 +190,48 @@ std::optional<Graph> build_selected_graph(
     TNode concrete{node.op, node.num, node.str, {}};
     for (Id c : node.children) concrete.children.push_back(built[eg.find(c)]);
     // try_add: the chosen member can (rarely) fail the concrete shape check
-    // when the class-level analysis was a join over disagreeing members;
-    // treat it like a cyclic selection and let the caller fall back.
+    // when the class-level analysis was a join over disagreeing members.
     auto added = out.try_add(std::move(concrete));
-    if (!added.has_value()) return std::nullopt;
+    if (!added.has_value()) {
+      if (unbuildable != nullptr) *unbuildable = true;
+      return result;
+    }
     built[f.cls] = *added;
     on_stack[f.cls] = 0;
     stack.pop_back();
   }
-  out.add_root(built[eg.find(root)]);
-  return out;
+  out.add_root(built[root]);
+  result.graph = std::move(out);
+  result.graph.single_root();
+  result.cost = graph_cost(result.graph, model);
+  result.ok = true;
+  return result;
 }
 
+}  // namespace
+
 ExtractionResult extract_greedy(const EGraph& eg, const CostModel& model) {
-  return greedy_result(eg, model,
-                       greedy_selection(eg, model, reachable_classes(eg, eg.root())));
+  return selected_graph(eg, model,
+                        greedy_selection(eg, model, reachable_classes(eg, eg.root())));
+}
+
+void stitch_selection(const EGraph& eg, const CostModel& model,
+                      const std::unordered_map<Id, TNode>& selection,
+                      ExtractionResult greedy, IlpExtractionResult& result) {
+  bool unbuildable = false;
+  ExtractionResult built = selected_graph(eg, model, selection, &unbuildable);
+  if (!built.ok) {
+    (unbuildable ? result.unbuildable_selection : result.cyclic_selection) = true;
+    if (!greedy.ok) return;
+    built = std::move(greedy);
+  }
+  static_cast<ExtractionResult&>(result) = std::move(built);
+  result.stats.gap = relative_gap(result.cost, result.best_bound);
 }
 
 IlpExtractionResult extract_ilp(const EGraph& eg, const CostModel& model,
                                 const IlpExtractOptions& options) {
   IlpExtractionResult result;
-  Timer timer;
   Timer phase_timer;
   const Id root = eg.root();
   const std::vector<Id> classes = reachable_classes(eg, root);
@@ -307,21 +317,18 @@ IlpExtractionResult extract_ilp(const EGraph& eg, const CostModel& model,
       nodes.push_back(NodeRef{cls, &ec.nodes[group.node_index].node});
     }
   }
-  result.num_vars = nodes.size();
   result.stats.milp_vars_total = nodes.size();
   result.stats.largest_core_vars = nodes.size();
   result.stats.num_cores = nodes.empty() ? 0 : 1;
   if (nodes.size() > options.max_instance_nodes) {
     result.too_large = true;
     result.timed_out = true;
-    result.solve_seconds = timer.seconds();
     return result;
   }
   // Every root e-node filtered: nothing to extract (constraint (2) has no
   // variables). Report infeasible instead of crashing on the empty row.
   if (class_nodes.find(root) == class_nodes.end()) {
     result.milp_status = MilpStatus::kInfeasible;
-    result.solve_seconds = timer.seconds();
     return result;
   }
 
@@ -398,7 +405,6 @@ IlpExtractionResult extract_ilp(const EGraph& eg, const CostModel& model,
       lp.add_row(std::move(terms), -kInf, 0.0);
     }
   }
-  result.num_rows = lp.rows.size();
 
   // Converts a per-class e-node selection into an LP point: x = 1 for the
   // chosen variable of every class the selection actually uses (walking down
@@ -460,7 +466,7 @@ IlpExtractionResult extract_ilp(const EGraph& eg, const CostModel& model,
   // returned on timeout, as in the paper.
   const std::unordered_map<Id, TNode> greedy_sel =
       greedy_selection(eg, model, classes);
-  ExtractionResult greedy = greedy_result(eg, model, greedy_sel);
+  ExtractionResult greedy = selected_graph(eg, model, greedy_sel);
   std::optional<std::vector<double>> warm;
   if (greedy.ok) {
     if (auto x = selection_to_x(greedy_sel); x && lp.feasible(*x, 1e-6))
@@ -505,7 +511,7 @@ IlpExtractionResult extract_ilp(const EGraph& eg, const CostModel& model,
   phase_timer.reset();
   result.milp_status = milp.status;
   result.timed_out = milp.timed_out;
-  result.solve_seconds = milp.seconds;
+  result.solve_seconds = result.stats.solve_seconds;
   result.bb_nodes = milp.nodes_explored;
   result.best_bound = milp.best_bound;
   result.lp_iterations = milp.lp_iterations;
@@ -531,28 +537,7 @@ IlpExtractionResult extract_ilp(const EGraph& eg, const CostModel& model,
     for (const EClassNode& e : eg.eclass(cls).nodes)
       if (!e.filtered) selection.emplace(cls, e.node);
   }
-  auto graph = build_selected_graph(eg, root, selection);
-  if (!graph.has_value()) {
-    result.cyclic_selection = true;
-    result.stats.stitch_seconds = phase_timer.seconds();
-    // Fall back to the greedy graph if we have one (mirrors "use the best
-    // known feasible solution").
-    if (greedy.ok) {
-      result.graph = std::move(greedy.graph);
-      result.cost = greedy.cost;
-      result.ok = true;
-      result.stats.gap =
-          std::max(0.0, (result.cost - result.best_bound) /
-                            std::max(std::abs(result.cost), 1e-12));
-    }
-    return result;
-  }
-  result.graph = std::move(*graph);
-  result.graph.single_root();
-  result.cost = graph_cost(result.graph, model);
-  result.ok = true;
-  result.stats.gap = std::max(0.0, (result.cost - result.best_bound) /
-                                       std::max(std::abs(result.cost), 1e-12));
+  stitch_selection(eg, model, selection, std::move(greedy), result);
   result.stats.stitch_seconds = phase_timer.seconds();
   return result;
 }

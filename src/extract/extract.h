@@ -17,7 +17,6 @@
 //    production extractor) and the subject of the Table-5 ablation.
 #pragma once
 
-#include <optional>
 #include <unordered_map>
 
 #include "cost/cost.h"
@@ -59,9 +58,9 @@ struct ExtractStats {
                              // rounding fallback (bounded gap, no proof)
   int warm_start_hits{0};    // node LPs restored from a parent basis
   int refactorizations{0};   // sparse-basis rebuilds across all node LPs
-  /// Certified relative optimality gap of the returned graph:
-  /// (cost - best_bound) / max(|cost|, eps). 0 when optimality was proven;
-  /// kInf when extraction produced no graph.
+  /// Certified relative optimality gap of the returned graph,
+  /// relative_gap(cost, best_bound) (ilp/milp.h). 0 when optimality was
+  /// proven; kInf when extraction produced no graph.
   double gap{kInf};
 };
 
@@ -91,21 +90,22 @@ struct IlpExtractionResult : ExtractionResult {
   MilpStatus milp_status{MilpStatus::kNoSolution};
   bool timed_out{false};
   bool too_large{false};
-  double solve_seconds{0.0};
+  double solve_seconds{0.0};  // always stats.solve_seconds
   int bb_nodes{0};
   double best_bound{0.0};  // proven lower bound from branch & bound
   int lp_iterations{0};
-  size_t num_vars{0};
-  size_t num_rows{0};
-  /// True if the selection could not be rebuilt into a graph
-  /// (build_selected_graph returned nullopt) and the result fell back to
-  /// the greedy graph. Besides a cyclic selection (possible only when
-  /// cycle_constraints are off and the e-graph was not filtered), this
-  /// happens when a selected e-node fails the concrete shape check: a class
-  /// whose analysis data is a join over disagreeing members can hand the
-  /// optimum a member that cannot honor its child's boundary (e.g. a split
-  /// whose child member lacks the concat boundary).
+  /// The solver's selection is cyclic or incomplete (possible only when
+  /// cycle_constraints are off and the e-graph was not filtered), so it
+  /// could not be rebuilt into a graph; the result fell back to the greedy
+  /// graph, if greedy found one.
   bool cyclic_selection{false};
+  /// A selected e-node failed the concrete shape check (Graph::try_add), so
+  /// the selection could not be rebuilt into a graph; the result fell back
+  /// as for cyclic_selection. A class whose analysis data is a join over
+  /// disagreeing members can hand the optimum a member that cannot honor
+  /// its child's boundary: a split added while its child class still had a
+  /// concat boundary, which a later merge with a member lacking it cleared.
+  bool unbuildable_selection{false};
   /// Per-phase breakdown (reach/reduce/lp-build/solve/stitch + sizes).
   ExtractStats stats;
 };
@@ -114,13 +114,13 @@ struct IlpExtractionResult : ExtractionResult {
 IlpExtractionResult extract_ilp(const EGraph& eg, const CostModel& model,
                                 const IlpExtractOptions& options = {});
 
-/// Rebuilds a concrete Graph from a per-class e-node choice, starting at the
-/// root class. Returns nullopt if the selection is cyclic or incomplete, or
-/// if a selected e-node fails the concrete shape check of Graph::try_add
-/// (its class's analysis data joined members that disagree, so the class
-/// admits members that cannot be built over the chosen children).
-std::optional<Graph> build_selected_graph(
-    const EGraph& eg, Id root,
-    const std::unordered_map<Id, TNode>& selection);
+/// The stitch both ILP extractors end with: rebuilds the solver's per-class
+/// `selection` from the root class into result.graph and sets ok, cost and
+/// stats.gap against result.best_bound. A selection that does not build
+/// sets cyclic_selection or unbuildable_selection instead, and the result
+/// falls back to `greedy` (the best known feasible graph) when it is ok.
+void stitch_selection(const EGraph& eg, const CostModel& model,
+                      const std::unordered_map<Id, TNode>& selection,
+                      ExtractionResult greedy, IlpExtractionResult& result);
 
 }  // namespace tensat

@@ -7,7 +7,6 @@
 
 #include "ilp/sparse.h"
 #include "support/check.h"
-#include "support/timer.h"
 #include "trace/trace.h"
 
 namespace tensat {
@@ -121,11 +120,11 @@ MilpResult solve_milp(const LinearProgram& lp_in, const std::vector<bool>& integ
                       const std::optional<std::vector<double>>& warm_start) {
   TENSAT_CHECK(static_cast<int>(integer_mask.size()) == lp_in.num_vars(),
                "integer mask size mismatch");
-  // Span on the caller's lane (engine cores call from pool workers); the
-  // B&B/LP work totals go through incr(), whose per-lane sums merge into
-  // deterministic aggregates regardless of which worker solved which core.
-  const trace::ScopedSpan span("milp/solve", lp_in.num_vars());
-  Timer timer;
+  // Span on the caller's lane (engine cores call from pool workers), and the
+  // clock of the time limit; the B&B/LP work totals go through incr(),
+  // whose per-lane sums merge into deterministic aggregates regardless of
+  // which worker solved which core.
+  const trace::ScopedSpan span("milp/solve", lp_in.num_vars(), trace::Timed{});
   MilpResult result;
 
   // ---- Root cut loop (cut & branch) --------------------------------------
@@ -150,7 +149,7 @@ MilpResult solve_milp(const LinearProgram& lp_in, const std::vector<bool>& integ
     double stall_ref = -kInf;  // objective at the last "real" improvement
     int stalled = 0;
     for (int round = 0; round < kMaxCutRounds; ++round) {
-      if (timer.seconds() > 0.3 * options.time_limit_s) break;
+      if (span.elapsed_seconds() > 0.3 * options.time_limit_s) break;
       SparseBasis basis_now;
       SparseLpSolver solver(augmented);
       const LpResult root = solver.solve(augmented.lower, augmented.upper,
@@ -263,7 +262,7 @@ MilpResult solve_milp(const LinearProgram& lp_in, const std::vector<bool>& integ
     SparseBasis dive_basis;
     if (seed_basis != nullptr) dive_basis = *seed_basis;
     for (int depth = 0; depth < 60; ++depth) {
-      if (timer.seconds() > options.time_limit_s) break;
+      if (span.elapsed_seconds() > options.time_limit_s) break;
       // Fix every near-integral variable at once ("vector diving"), plus the
       // least-fractional remaining one — keeps dives to a handful of LPs.
       int var = -1;
@@ -310,7 +309,7 @@ MilpResult solve_milp(const LinearProgram& lp_in, const std::vector<bool>& integ
   // visit order, never the certificate.
   std::optional<Node> plunge;
   while (plunge.has_value() || !open.empty()) {
-    if (timer.seconds() > options.time_limit_s ||
+    if (span.elapsed_seconds() > options.time_limit_s ||
         result.nodes_explored >= options.max_nodes) {
       result.timed_out = true;
       exhausted = false;
@@ -460,7 +459,6 @@ MilpResult solve_milp(const LinearProgram& lp_in, const std::vector<bool>& integ
     }
   }
 
-  result.seconds = timer.seconds();
   if (pseudocost.total_cnt > 0)
     result.pseudocost =
         std::make_shared<const PseudocostSnapshot>(pseudocost.snapshot());
@@ -477,9 +475,7 @@ MilpResult solve_milp(const LinearProgram& lp_in, const std::vector<bool>& integ
       result.gap = 0.0;
     } else {
       result.best_bound = std::min(frontier, result.objective);
-      result.gap =
-          std::max(0.0, (result.objective - result.best_bound) /
-                            std::max(std::abs(result.objective), 1e-12));
+      result.gap = relative_gap(result.objective, result.best_bound);
       // Within the requested gap of the proven frontier: reported optimal,
       // as MILP solvers conventionally do — but with the true bound kept,
       // so IlpExtractOptions::rel_gap terminates early WITH a certificate.

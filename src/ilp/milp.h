@@ -9,6 +9,8 @@
 // timeout, scaled down).
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -91,10 +93,10 @@ struct MilpResult {
   std::vector<double> x;
   double objective{0.0};
   double best_bound{-kInf};  // proven lower bound on the optimum
-  /// Certified relative optimality gap: (objective - best_bound) /
-  /// max(|objective|, eps). 0 when optimality was proven by exhausting the
-  /// tree; kInf when there is no incumbent. A rel-gap or time-limit stop
-  /// reports the true frontier bound, so the gap is a real certificate.
+  /// Certified relative optimality gap, relative_gap(objective, best_bound).
+  /// 0 when optimality was proven by exhausting the tree; kInf when there
+  /// is no incumbent. A rel-gap or time-limit stop reports the true frontier
+  /// bound, so the gap is a real certificate.
   double gap{kInf};
   int nodes_explored{0};
   int lp_iterations{0};
@@ -104,7 +106,6 @@ struct MilpResult {
   int refactorizations{0};
   /// Cutting planes added by the root cut loop (cut_generator).
   int cuts{0};
-  double seconds{0.0};
   bool timed_out{false};
   /// Basis of the ORIGINAL formulation's root relaxation (captured before
   /// any cuts are appended, so it stays valid as a seed_basis for a later
@@ -115,6 +116,13 @@ struct MilpResult {
   /// seed_pseudocost on a later solve of the same formulation.
   std::shared_ptr<const PseudocostSnapshot> pseudocost;
 };
+
+/// The relative optimality gap of `cost` over a proven lower `bound`:
+/// (cost - bound) / max(|cost|, eps), never negative. Every certified gap
+/// (MilpResult::gap, ExtractStats::gap) is this one formula.
+inline double relative_gap(double cost, double bound) {
+  return std::max(0.0, (cost - bound) / std::max(std::abs(cost), 1e-12));
+}
 
 /// Solves min c.x over lp's constraints with x_j integral for every j with
 /// integer_mask[j]. `warm_start`, if given, must be integer-feasible and

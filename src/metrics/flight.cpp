@@ -83,10 +83,8 @@ namespace {
 void phase_span(trace::Tracer& t, const char* name, double seconds,
                 double* cursor_us) {
   if (seconds <= 0.0) return;
-  double start = *cursor_us;
-  double end = start + seconds * 1e6;
-  t.record_span(name, start, end);
-  *cursor_us = end;
+  t.record_span(name, *cursor_us, seconds * 1e6);
+  *cursor_us += seconds * 1e6;
 }
 }  // namespace
 

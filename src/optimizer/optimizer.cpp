@@ -176,23 +176,15 @@ bool commit_application(EGraph& eg, const Id* row, const ApplyPlan& plan,
   return changed;
 }
 
-}  // namespace
-
-EGraph seed_egraph(const Graph& input) {
-  Graph g = input;  // single_root() mutates
-  const Id root = g.single_root();
-  EGraph eg;
-  auto mapping = eg.add_graph(g);
-  eg.set_root(mapping.at(root));
-  return eg;
-}
-
-ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
-                             const TensatOptions& options,
-                             ExplorationSession* session) {
-  trace::ScopedSpan explore_span("explore");
-  Timer timer;
-  ExploreStats stats;
+/// The body of run_exploration, inside its `explore` span: `clock` is that
+/// span, which the time limit reads.
+void explore(EGraph& eg, const std::vector<Rewrite>& rules,
+             const TensatOptions& options, ExplorationSession* session,
+             const trace::ScopedSpan& clock, ExploreStats& stats) {
+  // Stage-1 planners call this concurrently; the span's clock is a const read.
+  const auto out_of_time = [&] {
+    return clock.elapsed_seconds() > options.explore_time_limit_s;
+  };
   stats.rules.resize(rules.size());
   for (size_t r = 0; r < rules.size(); ++r) stats.rules[r].name = rules[r].name;
   const MultiPlan plan = build_multi_plan(rules);
@@ -227,7 +219,7 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
 
   eg.rebuild();
   for (int iter = 0; iter < options.k_max; ++iter) {
-    if (timer.seconds() > options.explore_time_limit_s) {
+    if (out_of_time()) {
       stats.stop = StopReason::kTimeLimit;
       break;
     }
@@ -235,8 +227,10 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
       stats.stop = StopReason::kNodeLimit;
       break;
     }
-    const trace::ScopedSpan iter_span("explore/iteration", iter);
-    const Timer iter_timer;
+    // The iteration's span times its growth sample (arg = the iteration).
+    stats.growth.emplace_back();
+    const trace::ScopedSpan iter_span("explore/iteration",
+                                      stats.growth.back().seconds, iter);
     const size_t matches_before_iter = stats.matches_found;
     const size_t applications_before_iter = stats.applications;
     const uint64_t version_before = eg.version();
@@ -306,22 +300,24 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
       if (ematch::search_work_estimate(eg, progs) < ematch::kMinParallelSearchWork)
         search_threads = 1;
     }
-    // Per-task wall time, written by whichever worker runs the task (its own
-    // slot; parallel_for's join publishes it) and distributed to the charged
-    // rules serially below.
+    // Per-task wall time, the duration of the task's span on whichever lane
+    // runs it (arg = the pattern index, or the rule index of a joint
+    // search), written to its own slot (parallel_for's join publishes it)
+    // and distributed to the charged rules serially below.
     std::vector<double> task_seconds(tasks.size(), 0.0);
     {
       const trace::ScopedSpan search_span("explore/search",
                                           stats.search_seconds);
       parallel_for(tasks.size(), search_threads, [&](size_t t) {
         const SearchTask& task = tasks[t];
-        const Timer task_timer;
+        const trace::ScopedSpan task_span(
+            task.joint ? "ematch/search_joint" : "ematch/search",
+            task_seconds[t], static_cast<int64_t>(task.index));
         if (task.joint)
           joint_rows[task.index] =
               ematch::search_joint(eg, plan.joint_programs[task.index], task.limits);
         else
           rows[task.index] = ematch::search(eg, plan.patterns[task.index].program);
-        task_seconds[t] = task_timer.seconds();
       });
     }
     for (size_t t = 0; t < tasks.size(); ++t) {
@@ -360,7 +356,7 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
         // Enumeration of a huge match set can itself be slow; a coarse
         // per-rule check keeps collect bounded by the time limit (stage 2
         // notices the blown limit and records the stop reason).
-        if (timer.seconds() > options.explore_time_limit_s) break;
+        if (out_of_time()) break;
         const Rewrite& rule = rules[r];
         if (!rule_active(r)) continue;
         const SecondsGuard rule_guard(stats.rules[r].seconds);
@@ -402,8 +398,7 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
     bool hit_time_limit = false;
     const auto limit_tripped = [&] {
       hit_node_limit = eg.num_enodes_total() >= options.node_limit;
-      hit_time_limit =
-          !hit_node_limit && timer.seconds() > options.explore_time_limit_s;
+      hit_time_limit = !hit_node_limit && out_of_time();
       return hit_node_limit || hit_time_limit;
     };
     for (size_t wave = 0; wave < apps.size(); wave += kPlanWave) {
@@ -446,7 +441,7 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
           const size_t end = std::min(begin + kPlanChunk, wave_end);
           for (size_t i = begin; i < end; ++i) {
             if (plan_timed_out.load(std::memory_order_relaxed)) return;
-            if (timer.seconds() > options.explore_time_limit_s) {
+            if (out_of_time()) {
               plan_timed_out.store(true, std::memory_order_relaxed);
               return;
             }
@@ -509,19 +504,17 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
     // counter samples come from this serial context only, so their merged
     // sequences stay deterministic across thread counts.
     {
-      IterationTelemetry g;
+      IterationTelemetry& g = stats.growth.back();
       g.eclasses = eg.num_classes();
       g.enodes = eg.num_enodes();
       g.enodes_total = eg.num_enodes_total();
       g.filtered = eg.num_filtered();
       g.matches = stats.matches_found - matches_before_iter;
       g.applications = stats.applications - applications_before_iter;
-      g.seconds = iter_timer.seconds();
       trace::counter("egraph/classes", static_cast<int64_t>(g.eclasses));
       trace::counter("egraph/enodes", static_cast<int64_t>(g.enodes));
       trace::counter("egraph/hashcons", static_cast<int64_t>(g.enodes_total));
       trace::counter("egraph/filtered", static_cast<int64_t>(g.filtered));
-      stats.growth.push_back(std::move(g));
     }
 
     if (hit_node_limit) {
@@ -557,12 +550,34 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
   stats.enodes_total = eg.num_enodes_total();
   stats.eclasses = eg.num_classes();
   stats.filtered = eg.num_filtered();
-  stats.seconds = timer.seconds();
   // Advance the session's global iteration clock so the next run_exploration
   // call interprets the persisted scheduler's absolute ban deadlines
   // correctly (its local `iter` restarts at 0).
   if (session != nullptr)
     session->iteration_base += static_cast<size_t>(stats.iterations);
+}
+
+}  // namespace
+
+EGraph seed_egraph(const Graph& input) {
+  Graph g = input;  // single_root() mutates
+  const Id root = g.single_root();
+  EGraph eg;
+  auto mapping = eg.add_graph(g);
+  eg.set_root(mapping.at(root));
+  return eg;
+}
+
+ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
+                             const TensatOptions& options,
+                             ExplorationSession* session) {
+  ExploreStats stats;
+  {
+    // The span closes after explore()'s locals, the rule plan among them,
+    // are torn down, and its duration is stats.seconds.
+    const trace::ScopedSpan explore_span("explore", stats.seconds);
+    explore(eg, rules, options, session, explore_span, stats);
+  }
   return stats;
 }
 
@@ -581,24 +596,24 @@ TensatResult extract_certified(const EGraph& eg, const Graph& input,
   TensatResult result;
   result.original_cost = graph_cost(input, model);
 
-  Timer extract_timer;
-  if (options.extractor == ExtractorKind::kGreedy) {
-    ExtractionResult ext = extract_greedy(eg, model);
-    result.ok = ext.ok;
-    if (ext.ok) {
-      result.optimized = std::move(ext.graph);
-      result.optimized_cost = ext.cost;
-    }
-  } else {
-    result.ilp = extract_engine(eg, model, options.ilp);
-    result.ok = result.ilp.ok;
-    result.extract_stats = result.ilp.stats;
-    if (result.ilp.ok) {
-      result.optimized = std::move(result.ilp.graph);
-      result.optimized_cost = result.ilp.cost;
+  {
+    const trace::ScopedSpan extract_span("extract", result.extract_seconds);
+    if (options.extractor == ExtractorKind::kGreedy) {
+      ExtractionResult ext = extract_greedy(eg, model);
+      result.ok = ext.ok;
+      if (ext.ok) {
+        result.optimized = std::move(ext.graph);
+        result.optimized_cost = ext.cost;
+      }
+    } else {
+      result.ilp = extract_engine(eg, model, options.ilp);
+      result.ok = result.ilp.ok;
+      if (result.ilp.ok) {
+        result.optimized = std::move(result.ilp.graph);
+        result.optimized_cost = result.ilp.cost;
+      }
     }
   }
-  result.extract_seconds = extract_timer.seconds();
 
   // The optimizer must never return a graph worse than its input: fall back
   // to the input if extraction found nothing better (can happen when the

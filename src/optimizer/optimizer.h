@@ -93,8 +93,9 @@ struct RuleTelemetry {
   size_t bans{0};    // backoff bans imposed on this rule
   size_t unbans{0};  // bans lifted early by the pre-saturation unban pass
   /// Wall-clock attributed to the rule: its share of each pattern search it
-  /// consumes (split evenly among the pattern's active users; joint searches
-  /// are wholly its own), plus its match enumeration and commit time.
+  /// consumes (the search's `ematch/search` span, split evenly among the
+  /// pattern's active users; a joint search's `ematch/search_joint` span is
+  /// wholly its own), plus its match enumeration and commit time.
   /// Stage-1 planning time is not attributable per rule (chunks mix rules);
   /// it includes reading the rule's variables out of its match rows, so
   /// enumeration is only the queueing of row pointers.
@@ -112,7 +113,7 @@ struct IterationTelemetry {
   size_t filtered{0};
   size_t matches{0};       // single-pattern matches found this iteration
   size_t applications{0};  // successful applications this iteration
-  double seconds{0.0};     // iteration wall time
+  double seconds{0.0};     // the iteration's explore/iteration span
 };
 
 struct ExploreStats {
@@ -132,6 +133,8 @@ struct ExploreStats {
   /// Pattern searches skipped because every rule using the pattern was
   /// banned (or out of its multi-pattern window).
   size_t searches_skipped{0};
+  /// Exploration wall time: the duration of run_exploration's `explore`
+  /// span, which the time limit also reads.
   double seconds{0.0};
   /// Per-phase wall-clock breakdown of `seconds`, accumulated across
   /// iterations, so regressions can be pinned to the dominant phase
@@ -149,6 +152,13 @@ struct ExploreStats {
   double rebuild_seconds{0.0};
   double dmap_seconds{0.0};
   double cycle_sweep_seconds{0.0};
+  /// The named remainder: `seconds` outside the five phases (building and
+  /// tearing down the rule plan, per-iteration scheduling and search-task
+  /// setup, the growth samples).
+  [[nodiscard]] double other_seconds() const {
+    return seconds - (search_seconds + apply_seconds + rebuild_seconds +
+                      dmap_seconds + cycle_sweep_seconds);
+  }
   /// Per-rule telemetry, indexed parallel to the input rules.
   std::vector<RuleTelemetry> rules;
   /// Per-iteration e-graph growth timeline (one entry per executed
@@ -194,14 +204,14 @@ struct TensatResult {
   double original_cost{0.0};
   double optimized_cost{0.0};
   ExploreStats explore;
+  /// Extraction wall time, either extractor: the duration of
+  /// extract_certified's `extract` span.
   double extract_seconds{0.0};
-  /// Per-phase extraction breakdown (reach/reduce/lp-build/solve/stitch plus
-  /// reduction and core counters), the extraction analog of ExploreStats'
-  /// search/apply/rebuild split. Filled for ILP extraction; zero for greedy
-  /// extraction.
-  ExtractStats extract_stats;
   /// Populated when extractor == kIlp, except `ilp.graph`: the extracted
-  /// graph is moved into `optimized`, so it is not held twice.
+  /// graph is moved into `optimized`, so it is not held twice. `ilp.stats`
+  /// splits extract_seconds into reach/reduce/lp-build/solve/stitch, the
+  /// extraction analog of ExploreStats' phase split; it stays zero for
+  /// greedy extraction.
   EngineExtractionResult ilp;
 };
 

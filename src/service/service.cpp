@@ -39,6 +39,7 @@ struct OptimizationService::Instruments {
   metrics::Counter& fallback_cores;
   metrics::Counter& warm_start_hits;
   metrics::Counter& refactorizations;
+  metrics::Counter& unbuildable_selections;
 
   metrics::Gauge& hit_ratio;
   metrics::Gauge& cache_entries;
@@ -82,6 +83,10 @@ struct OptimizationService::Instruments {
         refactorizations(registry.counter(
             "tensat_service_refactorizations_total", {},
             "Sparse-basis refactorizations across MILP node LPs")),
+        unbuildable_selections(registry.counter(
+            "tensat_service_unbuildable_selections_total", {},
+            "ILP selections that failed the concrete shape check and fell "
+            "back to greedy")),
         hit_ratio(registry.gauge("tensat_service_cache_hit_ratio", {},
                                  "Lifetime result-cache hit ratio")),
         cache_entries(registry.gauge("tensat_service_cache_entries", {},
@@ -171,11 +176,12 @@ void OptimizationService::finish(ServiceResponse& resp,
   Instruments& m = *instruments_;
   m.latency(outcome).observe(resp.seconds);
 
-  const bool has_gap = run != nullptr && run->extract_stats.gap >= 0.0 &&
-                       run->extract_stats.gap < kInf;
+  const bool has_gap = run != nullptr && run->ilp.stats.gap >= 0.0 &&
+                       run->ilp.stats.gap < kInf;
   if (run != nullptr) {
-    const ExtractStats& x = run->extract_stats;
+    const ExtractStats& x = run->ilp.stats;
     m.fallback_cores.add(x.fallback_cores);
+    if (run->ilp.unbuildable_selection) m.unbuildable_selections.inc();
     if (x.warm_start_hits > 0)
       m.warm_start_hits.add(static_cast<uint64_t>(x.warm_start_hits));
     if (x.refactorizations > 0)
@@ -209,7 +215,7 @@ void OptimizationService::finish(ServiceResponse& resp,
     rec.rebuild_seconds = e.rebuild_seconds;
     rec.dmap_seconds = e.dmap_seconds;
     rec.cycle_sweep_seconds = e.cycle_sweep_seconds;
-    const ExtractStats& x = run->extract_stats;
+    const ExtractStats& x = run->ilp.stats;
     rec.reach_seconds = x.reach_seconds;
     rec.reduce_seconds = x.reduce_seconds;
     rec.lp_build_seconds = x.lp_build_seconds;

@@ -10,10 +10,11 @@ void print_explore_phases(std::FILE* out, const ExploreStats& stats,
                           const char* label) {
   std::fprintf(out,
                "%s: search %.3fs, apply %.3fs, rebuild %.3fs, dmap %.3fs, "
-               "cycle sweep %.3fs (of %.3fs)\n",
+               "cycle sweep %.3fs, other %.3fs (of %.3fs)\n",
                label, stats.search_seconds, stats.apply_seconds,
                stats.rebuild_seconds, stats.dmap_seconds,
-               stats.cycle_sweep_seconds, stats.seconds);
+               stats.cycle_sweep_seconds, stats.other_seconds(),
+               stats.seconds);
 }
 
 void print_extract_phases(std::FILE* out, const ExtractStats& stats,

@@ -13,9 +13,10 @@
 namespace tensat::trace {
 
 /// One line: `<label>: search 0.123s, apply 0.456s, rebuild ..., dmap ...,
-/// cycle sweep ... (of <total>s)`. The five phases are ExploreStats' full
-/// wall-clock decomposition — dmap and cycle sweep printed separately, never
-/// lumped.
+/// cycle sweep ..., other ... (of <total>s)`. The five phases plus the named
+/// remainder (ExploreStats::other_seconds) are the full wall-clock
+/// decomposition of the total — dmap and cycle sweep printed separately,
+/// never lumped.
 void print_explore_phases(std::FILE* out, const ExploreStats& stats,
                           const char* label);
 

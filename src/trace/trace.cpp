@@ -88,10 +88,10 @@ Tracer::Lane& Tracer::lane() {
   return *l;
 }
 
-void Tracer::record_span(const char* name, double start_us, double end_us,
+void Tracer::record_span(const char* name, double start_us, double dur_us,
                          int64_t arg, bool has_arg) {
-  lane().events.push_back(Event{name, Event::Kind::kSpan, start_us,
-                                end_us - start_us, arg, has_arg});
+  lane().events.push_back(
+      Event{name, Event::Kind::kSpan, start_us, dur_us, arg, has_arg});
 }
 
 void Tracer::counter(const char* name, int64_t value) {

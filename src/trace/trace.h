@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -111,9 +110,14 @@ class Tracer {
   /// Microseconds since construction on support/timer.h's steady clock (the
   /// repo's single timing authority).
   [[nodiscard]] double now_us() const { return timer_.seconds() * 1e6; }
+  /// The same timeline position for an earlier reading `t` of that clock.
+  [[nodiscard]] double us_at(Timer::Clock::time_point t) const {
+    return Timer::seconds_between(timer_.start(), t) * 1e6;
+  }
 
-  /// Records a completed span. Prefer ScopedSpan below.
-  void record_span(const char* name, double start_us, double end_us,
+  /// Records a completed span starting at `start_us` on this tracer's
+  /// timeline and lasting `dur_us`. Prefer ScopedSpan below.
+  void record_span(const char* name, double start_us, double dur_us,
                    int64_t arg = 0, bool has_arg = false);
   /// Records a counter sample (a timeline point; Chrome "C" phase). For a
   /// deterministic digest, sample a given counter name from one serial
@@ -152,52 +156,69 @@ class Tracer {
   std::vector<std::unique_ptr<Lane>> lanes_;
 };
 
+/// Tag for a ScopedSpan that reads the clock even with no tracer installed,
+/// so that elapsed_seconds() can serve a time limit on its scope.
+struct Timed {};
+
 /// RAII scoped span: records [construction, destruction) under `name` on
-/// the installed tracer, or does nothing (one atomic load) when tracing is
-/// disabled. `arg` carries dynamic detail (rule/pattern/core index).
+/// the installed tracer, or does nothing (one atomic load, no clock read)
+/// when tracing is disabled. `arg` carries dynamic detail (rule/pattern/core
+/// index).
 ///
-/// The `seconds` form is the one clock for a stats-struct phase field
-/// (ExploreStats::dmap_seconds and its siblings): it always times the
-/// scope and adds the duration to `seconds`. With a tracer installed that
-/// duration is the recorded span's own, so the field and the span total
-/// are one reading; without one, a Timer supplies it.
+/// A span is the one clock for the scope it times. The `seconds` forms feed
+/// a stats field: they always read the clock, and add the span's duration
+/// to `seconds`, so the field and the recorded span are one reading. A
+/// `Timed` span reads it too, for a time limit on its scope and nothing
+/// else.
 class ScopedSpan {
  public:
   explicit ScopedSpan(const char* name)
-      : tracer_(Tracer::current()), name_(name) {
-    if (tracer_ != nullptr) start_us_ = tracer_->now_us();
-  }
+      : ScopedSpan(name, nullptr, 0, false, false) {}
   ScopedSpan(const char* name, int64_t arg)
-      : tracer_(Tracer::current()), name_(name), arg_(arg), has_arg_(true) {
-    if (tracer_ != nullptr) start_us_ = tracer_->now_us();
-  }
+      : ScopedSpan(name, nullptr, arg, true, false) {}
+  ScopedSpan(const char* name, int64_t arg, Timed)
+      : ScopedSpan(name, nullptr, arg, true, true) {}
   ScopedSpan(const char* name, double& seconds)
-      : tracer_(Tracer::current()), name_(name), seconds_(&seconds) {
-    if (tracer_ != nullptr)
-      start_us_ = tracer_->now_us();
-    else
-      timer_.emplace();
-  }
+      : ScopedSpan(name, &seconds, 0, false, true) {}
+  ScopedSpan(const char* name, double& seconds, int64_t arg)
+      : ScopedSpan(name, &seconds, arg, true, true) {}
   ~ScopedSpan() {
-    if (tracer_ != nullptr) {
-      const double end_us = tracer_->now_us();
-      tracer_->record_span(name_, start_us_, end_us, arg_, has_arg_);
-      if (seconds_ != nullptr) *seconds_ += (end_us - start_us_) * 1e-6;
-    } else if (seconds_ != nullptr) {
-      *seconds_ += timer_->seconds();
-    }
+    if (!timed_) return;
+    const double seconds = elapsed_seconds();
+    if (tracer_ != nullptr)
+      tracer_->record_span(name_, tracer_->us_at(start_), seconds * 1e6, arg_,
+                           has_arg_);
+    if (seconds_ != nullptr) *seconds_ += seconds;
   }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
+  /// Seconds since the span opened. Only for the `seconds` and `Timed`
+  /// forms, which read the clock with or without a tracer. A const read:
+  /// safe from concurrent workers inside the scope.
+  [[nodiscard]] double elapsed_seconds() const {
+    return Timer::seconds_between(start_, Timer::Clock::now());
+  }
+
  private:
+  ScopedSpan(const char* name, double* seconds, int64_t arg, bool has_arg,
+             bool timed)
+      : tracer_(Tracer::current()),
+        name_(name),
+        seconds_(seconds),
+        arg_(arg),
+        has_arg_(has_arg),
+        timed_(timed || tracer_ != nullptr) {
+    if (timed_) start_ = Timer::Clock::now();
+  }
+
   Tracer* tracer_;
   const char* name_;
-  double* seconds_{nullptr};
-  std::optional<Timer> timer_;  // the clock for `seconds_` without a tracer
-  double start_us_{0.0};
-  int64_t arg_{0};
-  bool has_arg_{false};
+  double* seconds_;
+  int64_t arg_;
+  bool has_arg_;
+  bool timed_;  // whether start_ was read
+  Timer::Clock::time_point start_{};
 };
 
 /// Counter sample on the installed tracer; no-op when disabled.

@@ -334,7 +334,7 @@ TEST(ExtractEngine, StatsBreakdownFilled) {
   EXPECT_GE(r.stats.num_cores, 1u);
   // The engine's instance is strictly smaller than the monolithic one.
   const IlpExtractionResult mono = extract_ilp(eg, model());
-  EXPECT_LT(r.stats.milp_vars_total, mono.num_vars);
+  EXPECT_LT(r.stats.milp_vars_total, mono.stats.milp_vars_total);
 }
 
 TEST(ExtractEngine, RootClassFullyFilteredIsInfeasible) {
@@ -411,13 +411,50 @@ TEST(ExtractEngine, CyclicSelectionWithoutConstraintsFallsBackToGreedy) {
   const IlpExtractionResult mono = extract_ilp(eg, fixed, base);
   ASSERT_TRUE(mono.ok);  // greedy fallback
   EXPECT_TRUE(mono.cyclic_selection);
+  EXPECT_FALSE(mono.unbuildable_selection);
   ExtractEngineOptions engine_opt;
   engine_opt.rel_gap = 0.0;
   const EngineExtractionResult engine = extract_engine(eg, fixed, engine_opt);
   ASSERT_TRUE(engine.ok);
   EXPECT_TRUE(engine.cyclic_selection);
+  EXPECT_FALSE(engine.unbuildable_selection);
   EXPECT_NEAR(engine.cost, mono.cost, 1e-9);
   EXPECT_GT(engine.graph.topo_order().size(), 0u);  // the fallback is a DAG
+}
+
+TEST(ExtractEngine, SelectionThroughMemberWithoutBoundaryIsUnbuildable) {
+  // split(1, concat(a, b)) is built while its child class still has the
+  // concat boundary. Merging that class with an input of the same shape
+  // clears the boundary, and the input is the cheaper member, so every
+  // extractor selects it under the split, which then fails Graph::try_add.
+  const FixedCostModel fixed({{Op::kConcat2, 10.0}});
+  Graph g;
+  const Id c = g.concat(1, {g.input("a", {4, 4}), g.input("b", {4, 4})});
+  const Id root = g.relu(g.split0(g.split(1, c)));
+  g.add_root(root);
+  EGraph eg;
+  const auto m = eg.add_graph(g);
+  eg.set_root(m.at(root));
+  Graph flat;
+  const Id ab = flat.input("ab", {4, 8});
+  flat.add_root(ab);
+  eg.merge(m.at(c), eg.add_graph(flat).at(ab));
+  eg.rebuild();
+  ASSERT_TRUE(eg.data(m.at(c)).hist.empty());
+
+  const IlpExtractionResult mono = extract_ilp(eg, fixed);
+  EXPECT_TRUE(mono.unbuildable_selection);
+  EXPECT_FALSE(mono.cyclic_selection);
+  const EngineExtractionResult engine = extract_engine(eg, fixed);
+  EXPECT_TRUE(engine.unbuildable_selection);
+  EXPECT_FALSE(engine.cyclic_selection);
+  // Greedy selects the same member, so there is no graph to fall back to,
+  // and the pipeline's certificate returns the input.
+  EXPECT_FALSE(engine.ok);
+  const TensatResult run = extract_certified(eg, g, fixed, TensatOptions{});
+  EXPECT_TRUE(run.ilp.unbuildable_selection);
+  EXPECT_TRUE(run.ok);
+  EXPECT_EQ(run.optimized_cost, run.original_cost);
 }
 
 TEST(ExtractEngine, OversizedCoreFallsBackToLpRounding) {
@@ -458,7 +495,7 @@ TEST(ExtractEngine, SolvesInstanceMonolithicRejectsAsTooLarge) {
   const IlpExtractionResult probe = extract_ilp(eg, model());
   const EngineExtractionResult engine_probe = extract_engine(eg, model());
   ASSERT_TRUE(engine_probe.ok);
-  ASSERT_LT(engine_probe.stats.largest_core_vars, probe.num_vars);
+  ASSERT_LT(engine_probe.stats.largest_core_vars, probe.stats.milp_vars_total);
 
   IlpExtractOptions mono_opt;
   mono_opt.max_instance_nodes = engine_probe.stats.largest_core_vars;
@@ -554,7 +591,7 @@ TEST(ExtractEngine, OptimizerRoutesThroughEngine) {
   options.node_limit = 2000;
   const TensatResult run = optimize(g, default_rules(), model(), options);
   ASSERT_TRUE(run.ok);
-  EXPECT_GT(run.extract_stats.classes_reachable, 0u);
+  EXPECT_GT(run.ilp.stats.classes_reachable, 0u);
 
   // Exploration is deterministic, so the engine run directly on an
   // identically explored e-graph must reproduce optimize()'s extraction.
@@ -563,8 +600,8 @@ TEST(ExtractEngine, OptimizerRoutesThroughEngine) {
   const EngineExtractionResult direct = extract_engine(eg, model(), options.ilp);
   ASSERT_TRUE(direct.ok);
   EXPECT_NEAR(run.ilp.cost, direct.cost, 1e-9);
-  EXPECT_EQ(run.extract_stats.milp_vars_total, direct.stats.milp_vars_total);
-  EXPECT_EQ(run.extract_stats.num_cores, direct.stats.num_cores);
+  EXPECT_EQ(run.ilp.stats.milp_vars_total, direct.stats.milp_vars_total);
+  EXPECT_EQ(run.ilp.stats.num_cores, direct.stats.num_cores);
 }
 
 // ---- Greedy extraction against an exact oracle ----------------------------

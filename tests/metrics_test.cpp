@@ -710,6 +710,8 @@ TEST(ServiceMetrics, PrometheusScrapeOfLiveService) {
   svc.metrics()->expose_prometheus(prom);
   EXPECT_NE(prom.str().find("tensat_service_requests_total 2"),
             std::string::npos);
+  EXPECT_NE(prom.str().find("tensat_service_unbuildable_selections_total 0"),
+            std::string::npos);
   EXPECT_NE(prom.str().find("# TYPE tensat_service_submit_seconds histogram"),
             std::string::npos);
   std::ostringstream json;

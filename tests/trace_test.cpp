@@ -14,8 +14,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
+#include <ratio>
 #include <sstream>
 #include <thread>
+#include <type_traits>
+#include <utility>
 
 #include "egraph_fingerprint.h"
 #include "extract/engine/engine.h"
@@ -23,6 +27,7 @@
 #include "optimizer/optimizer.h"
 #include "rewrite/rules.h"
 #include "support/parallel.h"
+#include "support/timer.h"
 #include "trace/trace.h"
 
 namespace tensat {
@@ -373,35 +378,70 @@ TEST(TraceDeterminism, ExtractionDigestIdenticalAcrossCoreThreads) {
   EXPECT_NE(d1.find("total milp/bb_nodes"), std::string::npos);
 }
 
+/// The summed duration of the `name` spans, in seconds.
+double span_total(const trace::Summary& summary, const char* name) {
+  for (const trace::Summary::SpanAgg& sp : summary.spans)
+    if (sp.name == name) return sp.total_us * 1e-6;
+  ADD_FAILURE() << "no " << name << " span";
+  return 0.0;
+}
+
+/// (arg, seconds) of each `name` span in `tracer`'s Chrome trace, in lane
+/// order. Spans are differences of nanosecond clock ticks, so the trace's
+/// microseconds, printed to three decimals, hold each duration exactly.
+std::vector<std::pair<int64_t, double>> traced_spans(const trace::Tracer& tracer,
+                                                     const std::string& name) {
+  static_assert(std::is_same_v<Timer::Clock::period, std::nano>);
+  std::ostringstream out;
+  tracer.write_chrome_trace(out);
+  const std::string json = out.str();
+  const std::string key = "{\"name\":\"" + name + "\",\"ph\":\"X\"";
+  std::vector<std::pair<int64_t, double>> spans;
+  for (size_t at = json.find(key); at != std::string::npos;
+       at = json.find(key, at + 1)) {
+    double ts_us = 0.0;
+    double dur_us = 0.0;
+    int tid = 0;
+    long long arg = -1;
+    const int fields = std::sscanf(
+        json.c_str() + at + key.size(),
+        ",\"ts\":%lf,\"dur\":%lf,\"pid\":0,\"tid\":%d,\"args\":{\"arg\":%lld}",
+        &ts_us, &dur_us, &tid, &arg);
+    EXPECT_GE(fields, 3) << name;
+    spans.emplace_back(arg, dur_us * 1e-6);
+  }
+  return spans;
+}
+
+void expect_same(double field, double spans, const char* name) {
+  EXPECT_NEAR(field, spans, 1e-9 * std::max(field, spans)) << name;
+}
+
 TEST(TraceDeterminism, StatsSecondsEqualSpanTotals) {
-  // Each stats-struct phase field and its same-named span are one clock
-  // reading: the field is the summed duration of the spans, not a second
-  // Timer read beside them. The NasRNN setup of the digest test above forms
-  // MILP cores, so every extraction phase runs.
-  trace::Tracer tracer;
-  tracer.install();
-  EGraph eg = seed_egraph(make_nasrnn(1, 2, 8));
+  // Each stats-struct duration and its span are one clock reading: a phase
+  // field is the summed duration of its spans, and a total is its own
+  // span's duration, not a second Timer read beside it. The NasRNN setup of
+  // the digest test above forms MILP cores, so every extraction phase runs.
+  const Graph input = make_nasrnn(1, 2, 8);
   TensatOptions opt;
   opt.k_max = 2;
   opt.k_multi = 1;
   opt.node_limit = 600;
-  const ExploreStats explore = run_exploration(eg, default_rules(), opt);
   const T4CostModel model;
-  const EngineExtractionResult ext = extract_engine(eg, model, {});
+  trace::Tracer tracer;
+  tracer.install();
+  const TensatResult run = optimize(input, default_rules(), model, opt);
   tracer.uninstall();
-  ASSERT_TRUE(ext.ok);
-  EXPECT_GT(ext.stats.num_cores, 0u);
+  ASSERT_TRUE(run.ilp.ok);
+  EXPECT_GT(run.ilp.stats.num_cores, 0u);
 
+  const ExploreStats& explore = run.explore;
+  const ExtractStats& ext = run.ilp.stats;
   const trace::Summary summary = tracer.summary();
   const auto span_seconds = [&](const char* name) {
-    for (const trace::Summary::SpanAgg& sp : summary.spans)
-      if (sp.name == name) return sp.total_us * 1e-6;
-    ADD_FAILURE() << "no " << name << " span";
-    return 0.0;
+    return span_total(summary, name);
   };
-  const auto expect_same = [](double field, double spans, const char* name) {
-    EXPECT_NEAR(field, spans, 1e-9 * std::max(field, spans)) << name;
-  };
+  expect_same(explore.seconds, span_seconds("explore"), "explore");
   expect_same(explore.dmap_seconds, span_seconds("explore/dmap"), "dmap");
   expect_same(explore.search_seconds, span_seconds("explore/search"), "search");
   expect_same(explore.apply_seconds,
@@ -412,15 +452,61 @@ TEST(TraceDeterminism, StatsSecondsEqualSpanTotals) {
               "rebuild");
   expect_same(explore.cycle_sweep_seconds, span_seconds("explore/sweep"),
               "cycle_sweep");
-  expect_same(ext.stats.reach_seconds, span_seconds("extract/reach"), "reach");
-  expect_same(ext.stats.reduce_seconds, span_seconds("extract/reduce"),
-              "reduce");
-  expect_same(ext.stats.solve_seconds, span_seconds("extract/solve"), "solve");
-  expect_same(ext.stats.stitch_seconds, span_seconds("extract/stitch"),
-              "stitch");
-  expect_same(ext.stats.lp_build_seconds,
+  expect_same(run.extract_seconds, span_seconds("extract"), "extract");
+  expect_same(ext.reach_seconds, span_seconds("extract/reach"), "reach");
+  expect_same(ext.reduce_seconds, span_seconds("extract/reduce"), "reduce");
+  expect_same(ext.solve_seconds, span_seconds("extract/solve"), "solve");
+  expect_same(ext.stitch_seconds, span_seconds("extract/stitch"), "stitch");
+  expect_same(ext.lp_build_seconds,
               span_seconds("extract/greedy") + span_seconds("extract/build"),
               "lp_build");
+  EXPECT_EQ(run.ilp.solve_seconds, ext.solve_seconds);
+
+  const auto iterations = traced_spans(tracer, "explore/iteration");
+  ASSERT_EQ(iterations.size(), explore.growth.size());
+  for (size_t i = 0; i < iterations.size(); ++i) {
+    EXPECT_EQ(iterations[i].first, static_cast<int64_t>(i));
+    expect_same(explore.growth[i].seconds, iterations[i].second, "growth");
+  }
+
+  // Greedy extraction is timed by the same `extract` span.
+  opt.extractor = ExtractorKind::kGreedy;
+  trace::Tracer greedy_tracer;
+  greedy_tracer.install();
+  const TensatResult greedy = optimize(input, default_rules(), model, opt);
+  greedy_tracer.uninstall();
+  expect_same(greedy.extract_seconds,
+              span_total(greedy_tracer.summary(), "extract"), "greedy extract");
+}
+
+TEST(TraceDeterminism, UntracedPhasesNestInTheirTotals) {
+  // Without a tracer the spans still time every stats field, and the phase
+  // spans run inside the span of their total.
+  ASSERT_EQ(trace::Tracer::current(), nullptr);
+  TensatOptions opt;
+  opt.k_max = 2;
+  opt.k_multi = 1;
+  opt.node_limit = 600;
+  const TensatResult run =
+      optimize(make_nasrnn(1, 2, 8), default_rules(), T4CostModel{}, opt);
+  ASSERT_TRUE(run.ilp.ok);
+
+  const ExploreStats& e = run.explore;
+  EXPECT_GT(e.seconds, 0.0);
+  EXPECT_GE(e.other_seconds(), 0.0);
+  expect_same(e.search_seconds + e.apply_seconds + e.rebuild_seconds +
+                  e.dmap_seconds + e.cycle_sweep_seconds + e.other_seconds(),
+              e.seconds, "explore phases + other");
+  double growth = 0.0;
+  for (const IterationTelemetry& g : e.growth) growth += g.seconds;
+  EXPECT_GT(growth, 0.0);
+  EXPECT_LE(growth, e.seconds);
+
+  const ExtractStats& x = run.ilp.stats;
+  EXPECT_GT(x.solve_seconds, 0.0);
+  EXPECT_LE(x.reach_seconds + x.reduce_seconds + x.lp_build_seconds +
+                x.solve_seconds + x.stitch_seconds,
+            run.extract_seconds);
 }
 
 TEST(RuleTelemetry, CountsAreInternallyConsistent) {
